@@ -10,7 +10,6 @@ Usage::
     PYTHONPATH=src python examples/profiling_walkthrough.py
     PYTHONPATH=src python examples/profiling_walkthrough.py client-swarm n_clients=200
     PYTHONPATH=src python examples/profiling_walkthrough.py multiost n_osts=8 duration=1.0
-    PYTHONPATH=src python examples/profiling_walkthrough.py --backend array
     PYTHONPATH=src python examples/profiling_walkthrough.py --diff quickstart
 
 The first argument is any registered scenario name (see
@@ -18,12 +17,11 @@ The first argument is any registered scenario name (see
 overrides.  Output: wall time, events/sec, simulated-sec per wall-sec, and
 the top-10 functions by cumulative profile time.
 
-``--backend NAME`` profiles the same scenario under a different kernel
-backend (heap/array — see docs/performance.md, "Kernel backends"), so a
-before/after pair of runs shows where the array calendar moves time.
 ``--diff`` skips profiling entirely and instead dispatches the scenario
-under *both* backends, asserting the event streams are identical — the
-fastest way to check a kernel change didn't move a single dispatch.
+with the engine's trace hook attached, printing the event count and the
+SHA-256 digest of the dispatch stream.  Run it in two checkouts and
+compare the lines — the fastest way to check a kernel change didn't move
+a single dispatch.
 
 After changing hot-path code, hold both lines: re-run
 ``python benchmarks/regression.py --quick`` (speed) and the tier-1 tests
@@ -54,18 +52,10 @@ def parse_value(raw: str):
 
 def main(argv) -> int:
     argv = list(argv)
-    backend = None
     diff = False
     if "--diff" in argv:
         argv.remove("--diff")
         diff = True
-    if "--backend" in argv:
-        at = argv.index("--backend")
-        try:
-            backend = argv[at + 1]
-        except IndexError:
-            raise SystemExit("--backend requires a name (heap/array)")
-        del argv[at : at + 2]
 
     name = argv[0] if argv else "quickstart"
     params = {}
@@ -78,18 +68,13 @@ def main(argv) -> int:
     spec = REGISTRY.build(name, **params)
 
     if diff:
-        from repro.sim.tracediff import diff_backends, format_report
+        from repro.sim.tracediff import stream_digest, trace_scenario
 
-        report = diff_backends(spec)
-        print(format_report(report))
-        return 0 if report.equal else 1
+        stream = trace_scenario(spec)
+        print(f"{name}: {len(stream)} events, sha256 {stream_digest(stream)}")
+        return 0
 
-    if backend is not None:
-        spec = spec.with_run(backend=backend)
-    print(
-        f"profiling scenario {name!r} "
-        f"(backend {spec.run.backend!r}): {spec.description}"
-    )
+    print(f"profiling scenario {name!r}: {spec.description}")
 
     # Build outside the profile: we want the simulation hot path, not
     # scenario materialization, to dominate the report.

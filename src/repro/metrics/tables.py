@@ -6,14 +6,10 @@ these helpers, so a bench run reproduces the paper's reported data as text.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where series are rendered
     import numpy as np
-except ImportError:  # pragma: no cover
-    # Keeps `import repro` working without numpy (the kernel runs without
-    # it); rendering actual series data still requires the arrays.
-    np = None
 
 __all__ = ["format_table", "format_series", "format_gains"]
 
@@ -63,6 +59,8 @@ def format_series(
     so timeline *shapes* — bursts, plateaus, step-downs — are visible in
     bench logs without plotting.
     """
+    import numpy as np
+
     if len(times) == 0:
         return f"{label}: (empty)"
     step = max(1, int(round(resample_s / (times[1] - times[0])))) if len(times) > 1 else 1

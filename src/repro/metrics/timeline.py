@@ -7,14 +7,10 @@ Mirrors the paper's measurement method: "observation collected at every
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where series are built
     import numpy as np
-except ImportError:  # pragma: no cover
-    # Keeps `import repro` working without numpy (the kernel runs without
-    # it); materializing binned timelines still requires the arrays.
-    np = None
 
 from repro.lustre.rpc import Rpc
 
@@ -79,6 +75,8 @@ class Timeline:
         the last recorded completion), matching how the paper plots idle
         phases as zero throughput.
         """
+        import numpy as np
+
         horizon = self._last_time if until is None else until
         n = max(1, int(np.ceil(horizon / self.bin_s)))
         times = np.arange(n) * self.bin_s
@@ -92,6 +90,8 @@ class Timeline:
         self, until: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(times, MiB/s)`` summed over all jobs."""
+        import numpy as np
+
         horizon = self._last_time if until is None else until
         n = max(1, int(np.ceil(horizon / self.bin_s)))
         times = np.arange(n) * self.bin_s

@@ -255,20 +255,12 @@ class RunSpec:
         ``("summary", "timeline", "history", "utilization")``.  Dropping
         ``timeline`` (which ``summary`` implies) skips per-RPC recording on
         the completion stream — useful for huge parameter sweeps.
-    backend:
-        Kernel backend the environment runs on (a name registered in
-        :mod:`repro.sim.backends` — ``"heap"`` or ``"array"``).  A pure
-        performance knob: every backend dispatches the identical
-        ``(time, priority, seq)`` event stream, so results are
-        bit-identical across backends (enforced by
-        :mod:`repro.sim.tracediff` and the parity tests).
     """
 
     duration_s: Optional[float] = None
     bin_s: Optional[float] = None
     seed: int = 0
     metrics: Tuple[str, ...] = METRIC_NAMES
-    backend: str = "heap"
 
     def __post_init__(self) -> None:
         if self.duration_s is not None and self.duration_s <= 0:
@@ -281,13 +273,6 @@ class RunSpec:
         if unknown:
             raise ValueError(
                 f"unknown metrics {sorted(unknown)}; options: {METRIC_NAMES}"
-            )
-        from repro.sim.backends import available_backends
-
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown kernel backend {self.backend!r}; available: "
-                f"{', '.join(available_backends())}"
             )
 
     def wants(self, metric: str) -> bool:

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
+if TYPE_CHECKING:  # pragma: no cover - numpy loads on the first draw
     import numpy as np
-except ImportError:  # pragma: no cover
-    # The simulation kernel runs without numpy (see repro.sim.backends);
-    # only actually *drawing* from a stochastic stream requires it, so the
-    # import is deferred to first use rather than poisoning `import repro.sim`.
-    np = None
 
 __all__ = ["RngStreams"]
 
@@ -52,12 +47,11 @@ class RngStreams:
 
     def get(self, name: str) -> "np.random.Generator":
         """Return the (cached) generator for ``name``."""
-        if np is None:
-            raise ImportError(
-                "stochastic streams require numpy (install repro[fast]); "
-                "the simulation kernel itself runs without it"
-            )
         if name not in self._streams:
+            # Imported here, not at module level: only drawing from a
+            # stochastic stream needs numpy, so the kernel imports without it.
+            import numpy as np
+
             self._streams[name] = np.random.default_rng(self._derive(name))
         return self._streams[name]
 

@@ -1,21 +1,24 @@
-"""Cross-backend event-trace differ.
+"""Dispatch-stream tracer and differ.
 
-The kernel backends (:mod:`repro.sim.backends`) promise to dispatch the
-exact same ``(time, priority, seq, event)`` stream for a given workload —
-that promise is the entire correctness argument for switching backends.
-This module turns it into a checkable artifact: run a scenario once per
-backend with the engine's ``trace`` hook attached, and report the first
-dispatch where the streams diverge (with context), or a clean bill.
+The engine promises that a given workload dispatches the exact same
+``(time, priority, seq, event)`` stream on every run, and that refactors
+of the calendar or the run loops leave that stream unchanged.  This module
+turns the promise into a checkable artifact: run a scenario with the
+engine's ``trace`` hook attached (:func:`trace_scenario`), fingerprint the
+stream (:func:`stream_digest`), and, given two streams — say from two
+commits — report the first dispatch where they diverge, with context
+(:func:`diff_streams`, :func:`format_report`).
 
 Used three ways:
 
-* the backend-parity tests (``tests/sim/test_backends.py``) assert
-  :func:`diff_backends` comes back clean on the quickstart / multiost /
-  burst-storm scenarios;
-* ``examples/profiling_walkthrough.py --diff`` gives the same check as a
-  command-line smoke test;
-* when developing a new backend, :func:`format_report` pinpoints the first
-  divergent dispatch instead of leaving you bisecting CSVs.
+* the dispatch-stream goldens (``tests/sim/test_dispatch_goldens.py``)
+  pin :func:`stream_digest` of the quickstart / multiost / fault /
+  centralized-mechanism streams;
+* ``examples/profiling_walkthrough.py --diff`` prints a scenario's digest,
+  so two checkouts can be compared from the command line;
+* when a digest moves, :func:`format_report` over the two streams
+  pinpoints the first divergent dispatch instead of leaving you bisecting
+  CSVs.
 
 Events are keyed by ``(time, priority, seq, type-name)``; the object
 identity of the event necessarily differs between two runs, but under the
@@ -26,16 +29,18 @@ equality within one run.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "TraceEntry",
     "Divergence",
     "DiffReport",
     "trace_scenario",
+    "stream_digest",
     "first_divergence",
-    "diff_backends",
+    "diff_streams",
     "format_report",
 ]
 
@@ -60,10 +65,10 @@ class Divergence:
 
 @dataclass(frozen=True, slots=True)
 class DiffReport:
-    """Outcome of comparing one scenario under two backends."""
+    """Outcome of comparing two dispatch streams of one scenario."""
 
     scenario: str
-    backends: Tuple[str, str]
+    labels: Tuple[str, str]
     counts: Tuple[int, int]
     divergence: Optional[Divergence]
     #: A few entries before/after the divergence from each stream, for
@@ -75,12 +80,11 @@ class DiffReport:
         return self.divergence is None
 
 
-def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
-    """Run ``scenario`` under ``backend`` and return its dispatch stream.
+def trace_scenario(scenario) -> List[TraceEntry]:
+    """Run ``scenario`` and return its dispatch stream.
 
     ``scenario`` is a registered scenario name or a built
-    :class:`~repro.scenarios.spec.ScenarioSpec`.  The spec's own backend
-    selection is overridden by ``backend``.
+    :class:`~repro.scenarios.spec.ScenarioSpec`.
     """
     # Local imports: tracediff sits in the sim layer but drives the full
     # scenario stack; importing lazily keeps the engine import-light.
@@ -97,7 +101,6 @@ def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
         raise TypeError(
             f"scenario must be a name or ScenarioSpec, got {scenario!r}"
         )
-    spec = spec.with_run(backend=backend)
 
     cluster = build(spec)
     entries: List[TraceEntry] = []
@@ -107,6 +110,18 @@ def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
     )
     execute(cluster)
     return entries
+
+
+def stream_digest(stream: Sequence[TraceEntry]) -> str:
+    """SHA-256 hex digest of a dispatch stream (order-sensitive).
+
+    Times are hashed through ``repr``, which round-trips floats exactly, so
+    two streams share a digest only if every entry is bit-identical.
+    """
+    digest = hashlib.sha256()
+    for when, priority, seq, name in stream:
+        digest.update(f"{when!r} {priority} {seq} {name}\n".encode())
+    return digest.hexdigest()
 
 
 def first_divergence(
@@ -130,14 +145,13 @@ def first_divergence(
     return None
 
 
-def diff_backends(
-    scenario,
-    backends: Tuple[str, str] = ("heap", "array"),
+def diff_streams(
+    scenario: str,
+    left: Sequence[TraceEntry],
+    right: Sequence[TraceEntry],
+    labels: Tuple[str, str] = ("left", "right"),
 ) -> DiffReport:
-    """Run ``scenario`` under two backends and compare dispatch streams."""
-    name = scenario if isinstance(scenario, str) else scenario.name
-    left = trace_scenario(scenario, backends[0])
-    right = trace_scenario(scenario, backends[1])
+    """Compare two dispatch streams of ``scenario``."""
     divergence = first_divergence(left, right)
     context: Tuple[Sequence[TraceEntry], Sequence[TraceEntry]] = ((), ())
     if divergence is not None:
@@ -145,8 +159,8 @@ def diff_backends(
         hi = divergence.index + _CONTEXT + 1
         context = (tuple(left[lo:hi]), tuple(right[lo:hi]))
     return DiffReport(
-        scenario=name,
-        backends=backends,
+        scenario=scenario,
+        labels=labels,
         counts=(len(left), len(right)),
         divergence=divergence,
         context=context,
@@ -155,13 +169,14 @@ def diff_backends(
 
 def format_report(report: DiffReport) -> str:
     """Human-readable rendering of a :class:`DiffReport`."""
-    a, b = report.backends
+    a, b = report.labels
     if report.equal:
         return (
             f"{report.scenario}: {a} and {b} dispatched identical streams "
             f"({report.counts[0]} events)"
         )
     div = report.divergence
+    assert div is not None
     lines = [
         f"{report.scenario}: {a} and {b} DIVERGE at dispatch #{div.index}",
         f"  {a}: {div.left!r}  (stream length {report.counts[0]})",

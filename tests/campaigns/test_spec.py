@@ -160,6 +160,11 @@ class TestResolution:
         with pytest.raises(ValueError, match="no parameter"):
             campaign.resolve(campaign.cells()[0])
 
+    def test_backend_is_not_a_reserved_param(self):
+        campaign = grid_campaign(axes=(ParameterAxis("backend", ("heap",)),))
+        with pytest.raises(ValueError, match="no parameter"):
+            campaign.resolve(campaign.cells()[0])
+
     def test_unknown_scenario_surfaces(self):
         campaign = grid_campaign(scenario="not-registered")
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -107,7 +107,8 @@ def make_mechanism_cluster():
     pipeline for any registered mechanism name, so per-mechanism test
     modules stop rebuilding clusters by hand: two sequential-write jobs
     (``j0`` with 1 node, ``j1`` with 2, …) on ``n_osts`` default-capacity
-    OSTs, optionally under a fault and on either kernel backend.
+    OSTs with files striped over ``stripe_count`` of them, optionally under
+    a fault.
     """
 
     def _make(
@@ -116,8 +117,8 @@ def make_mechanism_cluster():
         n_jobs=2,
         volume=8 * MB,
         n_osts=1,
+        stripe_count=1,
         duration_s=None,
-        backend="heap",
         fault=None,
         fault_params=None,
         **policy_overrides,
@@ -149,13 +150,13 @@ def make_mechanism_cluster():
         spec = ScenarioSpec(
             name="fixture",
             jobs=jobs,
-            topology=TopologySpec(n_osts=n_osts),
+            topology=TopologySpec(n_osts=n_osts, stripe_count=stripe_count),
             policy=PolicySpec(
                 mechanism=mechanism,
                 mechanism_params=mechanism_params or {},
                 **policy_overrides,
             ),
-            run=RunSpec(duration_s=duration_s, backend=backend),
+            run=RunSpec(duration_s=duration_s),
         )
         if fault is not None:
             spec = spec.with_fault(fault, fault_params or {})

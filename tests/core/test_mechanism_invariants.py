@@ -15,7 +15,9 @@ registered mechanism is enrolled automatically and must pass:
 * ``describe()`` round-trips through the registry;
 * campaign rows are byte-identical for ``--jobs 1`` vs ``--jobs 4``.
 
-The simulation-facing contracts run on both kernel backends.
+The simulation-facing contracts run on one OST and on two OSTs with every
+file striped over both, where each OST runs its own control loop against
+a share of every job's demand.
 """
 
 import collections
@@ -30,7 +32,9 @@ from repro.core.mechanism import MECHANISMS
 MIB = 1 << 20
 
 ALL_MECHANISMS = sorted(MECHANISMS.names())
-BACKENDS = ("heap", "array")
+
+#: Topology id → ``(n_osts, stripe_count)`` of the fixture cluster.
+TOPOLOGIES = {"one-ost": (1, 1), "striped": (2, 2)}
 
 #: Mechanisms whose allocations share one per-OST budget (sum-bounded).
 #: ``pid`` is feedback control: its contract is the per-job clamp only.
@@ -57,15 +61,23 @@ class TestRegistryRoundTrip:
         assert set(built.params) == set(entry.params)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(params=sorted(TOPOLOGIES))
+def make_cluster(request, make_mechanism_cluster):
+    """``make_mechanism_cluster`` on each topology in :data:`TOPOLOGIES`."""
+    n_osts, stripe_count = TOPOLOGIES[request.param]
+
+    def _make(name, **overrides):
+        return make_mechanism_cluster(
+            name, n_osts=n_osts, stripe_count=stripe_count, **overrides
+        )
+
+    return _make
+
+
 @pytest.mark.parametrize("name", ALL_MECHANISMS)
 class TestTokenConservation:
-    def test_round_rates_stay_inside_the_budget(
-        self, make_mechanism_cluster, name, backend
-    ):
-        cluster = make_mechanism_cluster(
-            name, volume=64 * MIB, backend=backend
-        )
+    def test_round_rates_stay_inside_the_budget(self, make_cluster, name):
+        cluster = make_cluster(name, volume=64 * MIB)
         cluster.env.run(until=0.25)  # a few rounds of real demand
         ceiling = cluster.config.max_token_rate * overbook_factor(name)
         for handle in cluster.handles:
@@ -77,11 +89,9 @@ class TestTokenConservation:
                 assert sum(rates.values()) <= ceiling + 1e-6
         cluster.teardown()
 
-    def test_bytes_conserved_end_to_end(
-        self, make_mechanism_cluster, name, backend
-    ):
+    def test_bytes_conserved_end_to_end(self, make_cluster, name):
         volume = 8 * MIB
-        cluster = make_mechanism_cluster(name, volume=volume, backend=backend)
+        cluster = make_cluster(name, volume=volume)
         served = collections.Counter()
         for oss in cluster.osses:
             oss.on_complete(
@@ -100,12 +110,8 @@ class TestTokenConservation:
             cluster.total_capacity_bps() * elapsed * (1 + 1e-9)
         )
 
-    def test_teardown_quiesces_the_event_heap(
-        self, make_mechanism_cluster, name, backend
-    ):
-        cluster = make_mechanism_cluster(
-            name, volume=16 * MIB, backend=backend
-        )
+    def test_teardown_quiesces_the_event_heap(self, make_cluster, name):
+        cluster = make_cluster(name, volume=16 * MIB)
         env = cluster.env
         env.run(until=0.15)  # mid-run: rules live, clients in flight
         cluster.teardown()

@@ -4,16 +4,15 @@ The shared protocol contracts live in ``test_mechanism_invariants``; this
 module pins what makes these two mechanisms *centralized*: the sdn
 control-plane model (latency ages the view, pushes land a round-trip
 late, pushes to crashed OSTs drop), vc admission/preemption bookkeeping
-(overbooked budget, waitlist, reservation ledger), and — because both
-route every control-plane effect through ordinary simulation timeouts —
-bit-identical event traces across kernel backends.
+(overbooked budget, waitlist, reservation ledger).  Their dispatch
+streams, including a crash in the middle of a control round, are pinned
+by the ``sdn/*`` and ``vc/*`` rows of ``tests/sim/test_dispatch_goldens.py``.
 """
 
 import pytest
 
 from repro.cluster.builder import build
 from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_backends, format_report
 
 MIB = 1 << 20
 
@@ -149,38 +148,6 @@ class TestVirtualCircuits:
             MECHANISMS.build("vc", request_factor=0.0)
         with pytest.raises(ValueError, match="idle_rounds"):
             MECHANISMS.build("vc", idle_rounds=0)
-
-
-class TestTraceParity:
-    """Heap and array backends dispatch identical event streams."""
-
-    @pytest.mark.parametrize(
-        "mechanism,params",
-        [("sdn", {"ctrl_latency_s": 0.15}), ("vc", {})],
-        ids=["sdn", "vc"],
-    )
-    @pytest.mark.parametrize(
-        "scenario,kwargs",
-        [
-            ("quickstart", {"file_mib": 32.0, "procs": 2}),
-            (
-                "burst-storm",
-                {
-                    "n_jobs": 3,
-                    "duration_s": 2.0,
-                    "data_scale": 0.05,
-                    "time_scale": 0.05,
-                },
-            ),
-        ],
-        ids=["quickstart", "burst-storm"],
-    )
-    def test_backends_agree(self, scenario, kwargs, mechanism, params):
-        spec = centralized(
-            REGISTRY.build(scenario, **kwargs), mechanism, **params
-        )
-        report = diff_backends(spec)
-        assert report.equal, format_report(report)
 
 
 class TestChaosReconvergence:

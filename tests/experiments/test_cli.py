@@ -219,6 +219,10 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "freq-sweep", "--param", "bogus=1"])
 
+    def test_campaign_run_backend_param_exits(self):
+        with pytest.raises(SystemExit, match="no parameter 'backend'"):
+            main(["campaign", "run", "mechanism-shootout", "--param", "backend=heap"])
+
     def test_campaign_run_unknown_name_exits(self):
         with pytest.raises(SystemExit):
             main(["campaign", "run", "not-a-campaign"])

@@ -1,68 +1,21 @@
-"""Determinism parity under faults, and figure-CSV stability without them.
+"""Figure-CSV stability: the fault machinery is inert when unused.
 
-The kernel-backend contract — identical ``(time, priority, seq)`` dispatch
-streams on every backend — must hold *with injectors in the event loop*,
-because injector drivers are ordinary simulation processes.  And the fault
-machinery must be inert when unused: fault-free figure exports stay
-byte-for-byte reproducible run over run.
+Fault-free figure exports stay byte-for-byte reproducible run over run.
+Dispatch streams *with* injectors in the event loop are pinned by the
+``fault/*`` rows of ``tests/sim/test_dispatch_goldens.py``.
 """
 
 import filecmp
 
-import pytest
-
 from repro.experiments import fig3_fig4, fig9
 from repro.metrics.export import export_all
-from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_backends, format_report
 from repro.workloads.scenarios import ScenarioConfig
 
 TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
 
 
-def faulted_spec(fault, params):
-    return (
-        REGISTRY.build(
-            "quickstart", file_mib=16.0, procs=2, capacity_mib_s=256.0
-        )
-        .with_run(seed=3)
-        .with_fault(fault, params)
-    )
-
-
-class TestBackendParityUnderFaults:
-    @pytest.mark.parametrize(
-        "fault,params",
-        [
-            ("ost-crash", {"start_s": 0.05, "duration_s": 0.1}),
-            ("ost-degrade", {"start_s": 0.05, "duration_s": 0.1, "factor": 0.2}),
-            ("net-delay", {"start_s": 0.05, "duration_s": 0.1, "factor": 5.0}),
-            ("net-delay", {"start_s": 0.05, "duration_s": 0.1, "partition": True}),
-            ("client-churn", {"start_s": 0.05, "duration_s": 0.1, "leaves": 1}),
-        ],
-    )
-    def test_heap_and_array_dispatch_identically(self, fault, params):
-        report = diff_backends(faulted_spec(fault, params))
-        assert report.equal, format_report(report)
-
-    def test_stacked_faults_stay_in_parity(self):
-        spec = faulted_spec("ost-crash", {"start_s": 0.05, "duration_s": 0.05})
-        spec = spec.with_fault(
-            "net-delay", {"start_s": 0.12, "duration_s": 0.05, "factor": 3.0}
-        )
-        report = diff_backends(spec)
-        assert report.equal, format_report(report)
-
-
 class TestFigureCsvByteIdentity:
     """Fault-free figure CSVs are byte-identical run over run."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_numpy(self):
-        # Timeline binning is vectorized; the rest of tests/faults stays
-        # numpy-free so the scalar-fallback CI leg can run it.
-        pytest.importorskip("numpy")
-
     def test_fig3_fig4_csvs_stable(self, tmp_path):
         paths = []
         for run in ("a", "b"):

@@ -119,6 +119,12 @@ class TestBuild:
         rates = [c.controller.max_token_rate for c in cluster.controllers]
         assert rates == [pytest.approx(100.0), pytest.approx(400.0)]
 
+    def test_explicit_env_is_used(self):
+        from repro.sim.engine import Environment
+
+        env = Environment(reuse_timeouts=False)
+        assert build(REGISTRY.build("quickstart"), env=env).env is env
+
     def test_baselines_have_no_controllers(self):
         spec = ScenarioSpec(
             name="t", jobs=tiny_jobs(), policy=PolicySpec(mechanism="none")

@@ -17,10 +17,18 @@ def test_timeout_advances_clock():
     assert env.now == 3.0
 
 
-def test_negative_timeout_rejected():
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_negative_timeout_rejected(delay):
     env = Environment()
     with pytest.raises(ValueError):
-        env.timeout(-1.0)
+        env.timeout(delay)
+    # The recycled-timeout path validates the same way.
+    env.timeout(0.1)
+    env.run()
+    assert env._free_timeouts
+    with pytest.raises(ValueError):
+        env.timeout(delay)
+    assert env.peek() == float("inf")
 
 
 def test_run_until_time_stops_clock_exactly():
@@ -40,6 +48,14 @@ def test_run_until_past_time_rejected():
     env = Environment(initial_time=10.0)
     with pytest.raises(SimulationError):
         env.run(until=5.0)
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError, match="nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
 
 
 def test_step_on_empty_queue_raises():
@@ -152,3 +168,65 @@ def test_run_until_event_starved_raises():
     never = env.event()
     with pytest.raises(SimulationError):
         env.run(until=never)
+
+
+def test_succeed_now_fires_before_later_timeout():
+    env = Environment()
+    order = []
+    env.timeout(0.5).add_callback(lambda e: order.append("later"))
+    event = env.event()
+    event.add_callback(lambda e: order.append("now"))
+    event.succeed()
+    env.run()
+    assert order == ["now", "later"]
+
+
+def test_peek_and_step_interleave_now_and_later_entries():
+    env = Environment()
+    order = []
+    env.timeout(2.0).add_callback(lambda e: order.append("far"))
+    event = env.event()
+    event.add_callback(lambda e: order.append("now"))
+    event.succeed()
+    assert env.peek() == 0.0
+    env.step()
+    assert order == ["now"]
+    assert env.peek() == 2.0
+    env.step()
+    assert order == ["now", "far"]
+
+
+def test_lazy_cancellation_skipped_in_calendar():
+    env = Environment()
+    fired = []
+    first = env.timeout(1.0)
+    first.add_callback(lambda e: fired.append("cancelled"))
+    env.timeout(2.0).add_callback(lambda e: fired.append("kept"))
+    first.cancel()
+    env.run()
+    assert fired == ["kept"]
+    assert env.now == 2.0
+
+
+def test_cancelled_at_now_entry_skipped():
+    env = Environment()
+    fired = []
+    event = env.event()
+    event.add_callback(lambda e: fired.append("dead"))
+    event.succeed()
+    event.cancel()
+    env.timeout(0.5).add_callback(lambda e: fired.append("live"))
+    env.run()
+    assert fired == ["live"]
+
+
+def test_reuse_timeouts_recycles_objects():
+    env = Environment(reuse_timeouts=True)
+
+    def churner():
+        for _ in range(50):
+            yield env.timeout(0.01)
+
+    env.process(churner())
+    env.run()
+    assert env._free_timeouts  # the free list actually filled

@@ -88,10 +88,6 @@ def test_env_convenience_constructors():
     assert type(env.all_of([t1, t2])).__name__ == "AllOf"
 
 
-@pytest.mark.skipif(
-    __import__("repro.sim.rng", fromlist=["np"]).np is None,
-    reason="drawing from RngStreams requires numpy (repro[fast])",
-)
 class TestRngStreams:
     def test_same_seed_same_streams(self):
         a = RngStreams(7).get("x").random(5)

@@ -1,8 +1,8 @@
-"""Unit tests for the cross-backend trace differ (pure comparison logic).
+"""Unit tests for the dispatch-stream differ (pure comparison logic).
 
-The heavyweight end-to-end use — running real scenarios under both
-backends — lives in ``test_backends.py``; here the divergence detection
-and report formatting are pinned on hand-built streams.
+The heavyweight end-to-end use — digests of real scenario streams — lives
+in ``test_dispatch_goldens.py``; here the divergence detection and report
+formatting are pinned on hand-built streams.
 """
 
 import pytest
@@ -10,9 +10,10 @@ import pytest
 from repro.sim.tracediff import (
     DiffReport,
     Divergence,
-    diff_backends,
+    diff_streams,
     first_divergence,
     format_report,
+    stream_digest,
     trace_scenario,
 )
 
@@ -51,7 +52,7 @@ class TestFormatReport:
     def _report(self, divergence, counts=(3, 3), context=((), ())):
         return DiffReport(
             scenario="demo",
-            backends=("heap", "array"),
+            labels=("parent", "change"),
             counts=counts,
             divergence=divergence,
             context=context,
@@ -74,33 +75,48 @@ class TestFormatReport:
         assert "DIVERGE at dispatch #1" in text
         assert "stream length 3" in text
         assert "stream length 4" in text
-        assert "context (heap)" in text
-        assert "context (array)" in text
+        assert "context (parent)" in text
+        assert "context (change)" in text
+
+
+class TestDiffStreams:
+    def test_equal_streams_report_clean(self):
+        stream = [entry(0.1, 1), entry(0.2, 2)]
+        report = diff_streams("demo", stream, list(stream))
+        assert report.equal
+        assert report.labels == ("left", "right")
+        assert report.counts == (2, 2)
+
+    def test_divergence_carries_context_from_both_sides(self):
+        left = [entry(0.1 * i, i) for i in range(10)]
+        right = list(left)
+        right[6] = entry(0.6, 6, "Event")
+        report = diff_streams("demo", left, right, labels=("a", "b"))
+        assert report.divergence.index == 6
+        assert report.context == (tuple(left[3:10]), tuple(right[3:10]))
+        assert "a and b DIVERGE at dispatch #6" in format_report(report)
+
+
+class TestStreamDigest:
+    def test_digest_is_order_sensitive(self):
+        stream = [entry(0.1, 1), entry(0.2, 2)]
+        assert stream_digest(stream) == stream_digest(list(stream))
+        assert stream_digest(stream) != stream_digest(stream[::-1])
+
+    def test_digest_sees_float_bits(self):
+        assert stream_digest([entry(0.3, 1)]) != stream_digest(
+            [entry(0.1 + 0.2, 1)]
+        )
 
 
 class TestTraceScenario:
     def test_rejects_non_scenario(self):
         with pytest.raises(TypeError, match="name or ScenarioSpec"):
-            trace_scenario(42, "heap")
+            trace_scenario(42)
 
-    def test_spec_backend_is_overridden(self):
-        # A spec pinned to one backend still runs under the requested one;
-        # identical streams from the two calls double as a parity check.
-        from repro.scenarios import REGISTRY
-
-        spec = REGISTRY.build("quickstart").with_run(
-            duration_s=0.2, backend="array"
-        )
-        left = trace_scenario(spec, "heap")
-        right = trace_scenario(spec, "array")
-        assert left and left == right
-
-    def test_diff_backends_reports_scenario_name(self):
+    def test_same_spec_traces_identically(self):
         from repro.scenarios import REGISTRY
 
         spec = REGISTRY.build("quickstart").with_run(duration_s=0.2)
-        report = diff_backends(spec)
-        assert report.scenario == "quickstart"
-        assert report.backends == ("heap", "array")
-        assert report.equal
-        assert report.counts[0] == report.counts[1] > 0
+        left = trace_scenario(spec)
+        assert left and diff_streams("quickstart", left, trace_scenario(spec)).equal

@@ -1,5 +1,6 @@
 """Package-level surface tests: public API, version, examples run."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,24 @@ def test_public_api_importable():
 
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+def test_simulation_path_imports_without_numpy():
+    """Building and running a scenario does not load numpy; only the
+    metric timelines, stochastic streams and figure experiments import it,
+    at their use sites."""
+    code = (
+        "import sys\n"
+        "import repro.cluster.builder, repro.cluster.experiment\n"
+        "import repro.scenarios, repro.campaigns, repro.metrics.summary\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_init_docstring_example_runs():
