@@ -7,13 +7,15 @@ always means the same thing regardless of which entry point produced it.
 
 **The events/sec metric.**  Every bench reports *scheduled events per
 wall-second*: the engine's total heap pushes (``Environment.scheduled``)
-divided by the wall time of the run.  Scheduling order — and therefore the
-scheduled-event *count* — is the engine's determinism invariant (same
-``(time, priority, seq)`` total order for a given workload across engine
-versions), so the numerator is a property of the workload alone and the
-events/sec ratio between two engine versions equals their wall-clock
-ratio.  Counting *dispatched* events instead would let an optimization
-that skips work (lazy-cancelled wakeups) look like a slowdown.
+divided by the wall time of the run.  For a fixed schedule — a kernel
+change that keeps the ``(time, priority, seq)`` total order — the numerator
+is a property of the workload alone, and the events/sec ratio between two
+versions equals their wall-clock ratio.  Counting *dispatched* events
+instead would let an optimization that skips work (lazy-cancelled wakeups)
+look like a slowdown.  A model change may do the same simulation with
+fewer events (the OSS idle pool does), so the scenario benches also report
+**simulated-seconds per wall-second**, and :mod:`regression` gates them on
+that instead.
 
 Three workload families:
 
@@ -24,7 +26,7 @@ Three workload families:
   paper workload, plus ``client-swarm`` grid cells at OST×client scale
   points).  Only :func:`~repro.cluster.experiment.execute` is timed — the
   cluster build is identical work under any engine and would dilute the
-  signal.  Cells also report **simulated-seconds per wall-second**.
+  signal.
 * **Shootout** — wall-clock of the ``workload-shootout`` campaign, the
   end-to-end ≥1.5× target of the performance overhaul.
 

@@ -49,14 +49,14 @@ class TokenBucket:
         tokens: float | None = None,
         now: float = 0.0,
     ) -> None:
-        if rate < 0:
+        if not rate >= 0:  # also rejects NaN
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if depth <= 0:
+        if not depth > 0:
             raise ValueError(f"depth must be > 0, got {depth}")
         self._rate = float(rate)
         self.depth = float(depth)
         self._tokens = self.depth if tokens is None else min(float(tokens), self.depth)
-        if self._tokens < 0:
+        if not self._tokens >= 0:
             raise ValueError(f"initial tokens must be >= 0, got {tokens}")
         self._last = float(now)
 
@@ -117,7 +117,7 @@ class TokenBucket:
         Tokens already in the bucket are kept (the paper's rule *changes* do
         not reset buckets); only the future accrual slope changes.
         """
-        if rate < 0:
+        if not rate >= 0:  # also rejects NaN
             raise ValueError(f"rate must be >= 0, got {rate}")
         self._sync(now)
         self._rate = float(rate)

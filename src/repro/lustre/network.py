@@ -47,7 +47,7 @@ class Network:
     )
 
     def __init__(self, env: "Environment", latency_s: float = 100e-6) -> None:
-        if latency_s < 0:
+        if not latency_s >= 0:  # also rejects NaN
             raise ValueError(f"latency must be >= 0, got {latency_s}")
         self.env = env
         self.latency_s = float(latency_s)
@@ -94,7 +94,7 @@ class Network:
         Requests already in flight keep the latency they departed with —
         only subsequent hops see the new value, like a routing change.
         """
-        if latency_s < 0:
+        if not latency_s >= 0:  # also rejects NaN
             raise ValueError(f"latency must be >= 0, got {latency_s}")
         self.latency_s = float(latency_s)
 

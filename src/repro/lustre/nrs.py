@@ -15,6 +15,19 @@ returns a ready RPC or ``None``; ``next_wake`` says when to re-poll;
 would otherwise walk the scheduler's deadline heap twice per cycle);
 ``wait_arrival`` hands out a broadcast event so idle threads learn about new
 work immediately.
+
+The broadcast is one of the two wake triggers of the OSS idle pool (the
+other is its token-deadline timer).  Every enqueue, rule start, rule stop
+that re-files work and rate change swaps in a fresh broadcast and succeeds
+the old one, so it dispatches one calendar hop later.  The OSS hangs a
+single callback on each broadcast and wakes every thread parked on it from
+there, in park order: threads with no deadline poll inline at the
+broadcast, threads with one poll one hop after it, from a shared wake
+event — the positions a per-thread race would have given them (see
+:mod:`repro.lustre.oss`).  A poll that comes up empty must leave the
+policy's answer unchanged, so that every thread polling the same state at
+the same instant gets the same ``(None, wake)``; the OSS relies on this to
+re-park later threads without polling them.
 """
 
 from __future__ import annotations

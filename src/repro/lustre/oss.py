@@ -9,23 +9,56 @@ analyses: under TBF, threads *can* sit idle while RPCs wait for tokens (the
 non-work-conserving behaviour AdapTBF fixes), while the fallback queue keeps
 unmatched jobs from starving.
 
-The idle wait is the OSS's hot path (roughly one idle cycle per served RPC),
-so it uses the engine's lean primitives: one fused :meth:`NrsPolicy.poll`
-call instead of separate ``dequeue``/``next_wake`` heap walks, a
-:class:`~repro.sim.events.FirstOf` race instead of a full ``AnyOf``, and
-lazy cancellation of the losing deadline timer so stale wakeups never
-dispatch.
+Idle waits are the OSS's hot path, so idle threads share their wakeups.
+The model's semantics are those of a herd: every idle thread races its own
+deadline timer against the policy's arrival broadcast, every trigger wakes
+every waiting thread, and each woken thread polls in turn.  The order of
+those ``poll`` and ``ost.transfer`` calls fixes the OST transfer ids, hence
+the completion order at equal times, hence which client resubmits first —
+so it is part of the model's output.  The OSS reproduces exactly that order
+with one calendar event per trigger instead of one per thread:
+
+* A parked thread waits on a plain :class:`~repro.sim.events.Event` (its
+  *group*) that never enters the calendar.  Each group holds one *token*
+  on the current arrival broadcast (one callback per broadcast, holding
+  its tokens in park order) and, for a finite deadline, on a *timer
+  batch*.  A token joins the open batch only when its timer time equals
+  the batch's and no event was scheduled since the batch's timer was
+  armed — exactly when the per-thread timers would have held consecutive
+  sequence numbers.  Otherwise it arms a new timer.  A thread that would
+  register right behind the newest token, on the same broadcast and the
+  same batch, joins that token's group instead of taking a token.
+* When a broadcast or a batch timer dispatches, its pending tokens are
+  marked woken.  A token without a deadline is drained inline, as a thread
+  waiting on the broadcast alone would have been.  A token with one gets
+  a deferred wake: one calendar event in the slot where the first
+  per-thread wakeup would have gone, joined by every later deferred token
+  while nothing else is scheduled in between.  That event drains its
+  tokens inline, in park order.
+* Draining resumes a group's threads one by one.  Once a poll comes up
+  empty, every later thread of the same dispatch would poll the same state
+  and park with the same deadline, so they are re-parked, without being
+  resumed, under a fresh token (old tokens stay woken, so stale lists
+  skip them).  Parked threads all wait at the same point of the same
+  loop, so which one a group resumes next is unobservable; the sequence
+  of polls is.  A batch timer whose tokens were all woken by broadcasts
+  is cancelled.
+
+``tests/sim/test_service_goldens.py`` pins the resulting per-RPC service
+records, figure CSVs and campaign rows to the herd's; only the calendar
+schedule (``tests/sim/test_dispatch_goldens.py``) differs.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.lustre.jobstats import JobStatsTracker
 from repro.lustre.nrs import NrsPolicy
 from repro.lustre.ost import Ost, OstUnavailable
 from repro.lustre.rpc import Rpc
-from repro.sim.events import Event, FirstOf
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -35,6 +68,37 @@ __all__ = ["Oss"]
 #: Default I/O thread count; Lustre OSSes typically run tens of ost_io
 #: threads per CPT.  16 matches the paper's 16-core OSS node.
 DEFAULT_IO_THREADS = 16
+
+_INF = float("inf")
+
+
+class _Token:
+    """One registration of a parked group on a broadcast and a timer batch.
+
+    A token is woken at most once: by its broadcast or by its batch timer,
+    whichever dispatches first.  Re-parking a group registers a fresh
+    token, so lists that still hold the old one see it as woken.
+    """
+
+    __slots__ = ("group", "batch", "woken")
+
+    def __init__(self, group: Event) -> None:
+        self.group = group
+        self.batch: Optional[_TimerBatch] = None
+        self.woken = False
+
+
+class _TimerBatch:
+    """Tokens sharing one deadline timer (one per run of consecutive parks)."""
+
+    __slots__ = ("timer", "at", "eid", "tokens", "pending")
+
+    def __init__(self, at: float) -> None:
+        self.timer: Optional[Timeout] = None
+        self.at = at
+        self.eid = 0
+        self.tokens: List[_Token] = []
+        self.pending = 0
 
 
 class Oss:
@@ -68,6 +132,15 @@ class Oss:
         "_online",
         "_rpcs_dropped",
         "_rpcs_retried",
+        "_arrival",
+        "_arrival_tokens",
+        "_timers",
+        "_wake_tokens",
+        "_wake_eid",
+        "_parked",
+        "_draining",
+        "_on_timer_cb",
+        "_on_wake_cb",
     )
 
     def __init__(
@@ -80,7 +153,7 @@ class Oss:
     ) -> None:
         if io_threads <= 0:
             raise ValueError(f"io_threads must be positive, got {io_threads}")
-        if rpc_overhead_s < 0:
+        if not rpc_overhead_s >= 0:  # also rejects NaN
             raise ValueError(f"rpc_overhead_s must be >= 0, got {rpc_overhead_s}")
         self.env = env
         self.ost = ost
@@ -94,6 +167,19 @@ class Oss:
         self._online: Optional[Event] = None
         self._rpcs_dropped = 0
         self._rpcs_retried = 0
+        # Idle-pool state: the broadcast we hold a callback on and its
+        # tokens, the newest timer batch, the open deferred wake, the
+        # deadline of the last park (None: no park since it was cleared)
+        # and the group being drained.
+        self._arrival: Optional[Event] = None
+        self._arrival_tokens: List[_Token] = []
+        self._timers: Optional[_TimerBatch] = None
+        self._wake_tokens: Optional[List[_Token]] = None
+        self._wake_eid = 0
+        self._parked: Optional[float] = None
+        self._draining: Optional[Event] = None
+        self._on_timer_cb = self._on_timer
+        self._on_wake_cb = self._on_wake
         for tid in range(io_threads):
             env.process(self._thread_loop(), name=f"{ost.name}.io{tid}")
 
@@ -161,7 +247,6 @@ class Oss:
         poll = policy.poll
         transfer = self.ost.transfer
         record_completion = self.jobstats.record_completion
-        inf = float("inf")
         while True:
             if self._offline:
                 # Crashed: park on the recovery broadcast.  Any wakeup
@@ -197,14 +282,160 @@ class Oss:
                     rpc.completion.succeed(rpc)
                 continue
 
-            arrival = policy.wait_arrival()
-            if wake == inf:
-                yield arrival
-            else:
-                delay = wake - env.now
-                timer = env.timeout(delay if delay > 0.0 else 0.0)
-                yield FirstOf(env, (timer, arrival))
-                if timer.callbacks is not None:
-                    # The arrival won the race: retire the deadline timer
-                    # lazily instead of letting it dispatch as a no-op.
-                    timer.cancel()
+            yield self._park(wake)
+
+    # -- the idle pool -------------------------------------------------------------
+    def _park(self, wake: float) -> Event:
+        """Park the calling thread until ``wake`` or the next arrival.
+
+        Returns the group event the thread yields; it never enters the
+        calendar — a broadcast or a wake event resumes it inline.  A thread
+        parking while its own group is being drained rejoins that group,
+        which :meth:`_drain` then registers; any other thread joins the
+        newest group or starts one (see :meth:`_register`).
+        """
+        self._parked = wake
+        group = self._draining
+        if group is None:
+            group = self._register(None, wake)
+        return group
+
+    def _register(self, group: Optional[Event], wake: float) -> Event:
+        """Enrol ``group`` (None: a new group for the calling thread) on
+        the current broadcast and, for a finite ``wake``, on a timer batch
+        (see the module docstring).  Returns the group now registered.
+
+        When the newest token is still the current broadcast's last and on
+        the open timer batch (or, without a deadline, on none), ``group``'s
+        threads would have registered right behind it, so they move into
+        its group instead of taking a token of their own.  Such a token
+        cannot have been woken yet: its broadcast has not dispatched and
+        its timer, if any, has not fired.
+        """
+        env = self.env
+        arrival = self.policy.wait_arrival()
+        current = arrival is self._arrival
+        batch = None
+        if wake != _INF:
+            now = env.now
+            delay = wake - now
+            if not delay > 0.0:
+                delay = 0.0
+            at = now + delay
+            batch = self._timers
+            if (
+                batch is None
+                or batch.timer is None
+                or batch.at != at
+                or batch.eid != env._eid
+            ):
+                # Anything scheduled since the open batch's timer would
+                # have split the per-thread timers: arm a new one.
+                self._timers = batch = _TimerBatch(at)
+                timer = batch.timer = env.timeout(delay, batch)
+                timer.callbacks.append(self._on_timer_cb)
+                batch.eid = env._eid
+            elif current and self._arrival_tokens[-1].batch is batch:
+                return self._merge(group, self._arrival_tokens[-1].group)
+        elif current and self._arrival_tokens[-1].batch is None:
+            return self._merge(group, self._arrival_tokens[-1].group)
+        if group is None:
+            group = Event(env)
+        token = _Token(group)
+        if current:
+            self._arrival_tokens.append(token)
+        else:
+            self._arrival = arrival
+            self._arrival_tokens = tokens = [token]
+            arrival.callbacks.append(partial(self._on_arrival, tokens))
+        if batch is not None:
+            batch.tokens.append(token)
+            batch.pending += 1
+            token.batch = batch
+        return group
+
+    @staticmethod
+    def _merge(group: Optional[Event], into: Event) -> Event:
+        """Move ``group``'s waiting threads, in order, to the end of ``into``."""
+        if group is not None:
+            waiters = group.callbacks
+            for resume in waiters:  # each a parked Process's _resume
+                resume.__self__._target = into  # type: ignore[attr-defined]
+            into.callbacks.extend(waiters)
+            waiters.clear()
+        return into
+
+    def _on_arrival(self, tokens: List[_Token], _event: Event) -> None:
+        """A broadcast dispatched: wake its tokens in park order."""
+        wake: Optional[float] = None
+        for token in tokens:
+            if token.woken:
+                continue
+            token.woken = True
+            batch = token.batch
+            if batch is None:
+                # Waiting on the broadcast alone: resumed right here.
+                wake = self._drain(token.group, wake)
+                continue
+            batch.pending -= 1
+            if not batch.pending:
+                # Every token of the batch woke early: retire its timer.
+                timer = batch.timer
+                batch.timer = None
+                timer.cancel()
+            self._defer(token)
+
+    def _on_timer(self, event: Event) -> None:
+        """A batch timer dispatched: defer-wake the tokens still pending."""
+        batch = event.value
+        batch.timer = None
+        for token in batch.tokens:
+            if not token.woken:
+                token.woken = True
+                self._defer(token)
+
+    def _defer(self, token: _Token) -> None:
+        """Give a woken token its wake event, joining the open one when
+        nothing was scheduled since it."""
+        tokens = self._wake_tokens
+        env = self.env
+        if tokens is not None and self._wake_eid == env._eid:
+            tokens.append(token)
+            return
+        self._wake_tokens = tokens = [token]
+        env.timeout(0.0, tokens).callbacks.append(self._on_wake_cb)
+        self._wake_eid = env._eid
+
+    def _on_wake(self, event: Event) -> None:
+        """A wake event dispatched: drain its tokens in order."""
+        tokens = event.value
+        if tokens is self._wake_tokens:
+            self._wake_tokens = None
+        wake: Optional[float] = None
+        for token in tokens:
+            wake = self._drain(token.group, wake)
+
+    def _drain(self, group: Event, wake: Optional[float]) -> Optional[float]:
+        """Resume ``group``'s threads one by one until one parks.
+
+        ``wake`` is the deadline of a poll that already came up empty in
+        this dispatch (None if none did).  Every thread after it would poll
+        the same state and park with the same deadline, so the rest of the
+        group is re-parked with it instead of resumed.  Returns the updated
+        ``wake``.  Parked threads all wait at the same point of the same
+        loop, so which of them runs next is unobservable: only the sequence
+        of polls is, and it is the herd's.
+        """
+        waiters = group.callbacks
+        if wake is None:
+            self._draining = group
+            while waiters:
+                self._parked = None
+                waiters.pop()(group)
+                wake = self._parked
+                if wake is not None:
+                    break  # the thread rejoined this group
+            self._draining = None
+        if wake is not None and waiters:
+            self._register(group, wake)
+        return wake

@@ -71,8 +71,10 @@ class Ost:
     )
 
     def __init__(self, env: "Environment", name: str, capacity_bps: float) -> None:
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bps}")
+        if not 0 < capacity_bps < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"capacity must be positive and finite, got {capacity_bps}"
+            )
         self.env = env
         self.name = name
         self.capacity_bps = float(capacity_bps)
@@ -108,8 +110,10 @@ class Ost:
         allocating ``T_i`` tokens — so this is the failure-injection hook
         for testing behaviour when tokens outrun the disk.
         """
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bps}")
+        if not 0 < capacity_bps < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"capacity must be positive and finite, got {capacity_bps}"
+            )
         self._advance(self.env.now)
         self.capacity_bps = float(capacity_bps)
         self._reschedule()

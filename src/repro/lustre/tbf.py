@@ -80,9 +80,9 @@ class TbfRule:
     rank: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
+        if not self.rate >= 0:  # also rejects NaN
             raise ValueError(f"rule rate must be >= 0, got {self.rate}")
-        if self.depth <= 0:
+        if not self.depth > 0:
             raise ValueError(f"rule depth must be > 0, got {self.depth}")
 
 
@@ -178,7 +178,7 @@ class TbfScheduler:
         rule = self._rules.get(name)
         if rule is None:
             raise KeyError(f"no rule named {name!r}")
-        if rate < 0:
+        if not rate >= 0:  # also rejects NaN
             raise ValueError(f"rate must be >= 0, got {rate}")
         rule.rate = float(rate)
         if rank is not None:

@@ -22,7 +22,8 @@ A fourth, terminal state exists for wakeups that lost a race:
                skipped *lazily* when it reaches the top (O(1) amortized,
                no heap surgery).  Cancelling discards any waiters, so it is
                only appropriate for pure alarms nobody awaits exclusively —
-               the OSS idle race and the OST completion checks.
+               the OSS idle-pool deadline timers and the OST completion
+               checks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,7 +47,6 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
-    "FirstOf",
     "ConditionValue",
 ]
 
@@ -333,40 +332,3 @@ class AllOf(_Condition):
             self._outstanding -= 1
             if not self._outstanding:
                 self.succeed(self._collect())
-
-
-class FirstOf(Event):
-    """Lean race over component events: succeeds with the *event* that fired.
-
-    The low-overhead sibling of :class:`AnyOf` for pure wakeups — the OSS
-    idle wait races a token-deadline timer against the arrival broadcast
-    once per dequeue attempt, and never looks at the value.  ``FirstOf``
-    skips the :class:`ConditionValue` bookkeeping and delivers the winning
-    event itself; combine with :meth:`Event.cancel` to retire the losing
-    timer without waiting for it to surface.
-
-    Component events are not validated against the environment; callers own
-    that invariant (use :class:`AnyOf` at API boundaries).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        check = self._check
-        for event in events:
-            if self._value is not _PENDING:
-                break
-            if event.callbacks is None:
-                check(event)
-            else:
-                event.callbacks.append(check)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            self.succeed(event)
-        else:
-            event.defused()
-            self.fail(event._value)

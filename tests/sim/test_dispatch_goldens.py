@@ -15,7 +15,10 @@ middle of a control round, and three pure-engine setups that stress event
 handoffs, condition events, and interrupts, lazy cancellation and kills.
 Every row is checked with the timeout free list on and off: recycling
 timeouts must not move a single dispatch.  Re-recording a digest is a
-behaviour change and needs a CHANGES.md line naming the cause.
+schedule change and needs a CHANGES.md line naming the cause.  A change
+that does the same simulation with different events (the OSS idle pool's
+one wake per trigger) moves rows here while the service records, figure
+CSVs and campaign rows pinned by ``test_service_goldens.py`` stay put.
 """
 
 import pytest
@@ -226,60 +229,60 @@ GOLDENS = {
         "83b8ddad059e8841ed2d491b0680c0502d26386ea24e0b1e253b3493ce93d3bd",
     ),
     "burst-storm": (
-        6137,
-        "2624e13ff04bece219f9fe28c7c0a9a11556d1a1bf72197a6be1c6e8923931b9",
+        3000,
+        "5a4b74a8eb4c7d8044529268fe01d2845c947df5de62f2d3a8029ffb42fe1ac8",
     ),
     "client-swarm": (
         18772,
         "a63a74c20774eef050cc376e1fbb05d3034a683609afbabde7a84d832ab38215",
     ),
     "diurnal-mix": (
-        10382,
-        "c26701971c9c39e757407c811a77c56278eabf84cf5f36473ade1e5d8ce0fb3f",
+        3270,
+        "f83f91008fba022b9a4edcf3b27da37e91fa9ff723cb440c58539f85a0168ee0",
     ),
     "elastic-churn": (
-        1383,
-        "3dba302a9737e12ebc5c1e0becd797fdc2a07112aeb15127f56e5f8eebc640a4",
+        1136,
+        "09cb021a7fdbd29684da6db281a9d2d1f24fa07b90882638c27e4e0e9c9530c2",
     ),
     "fault/client-churn": (
-        814,
-        "1e2cb39fa37ba3805fc3460090a21f99bd602173b6e6985f97d74b45ff14dd67",
+        577,
+        "6e83d81dcdde34a96213192d4fbb542472f902c11a5f4372d65a0b016808851e",
     ),
     "fault/net-delay": (
-        915,
-        "c30d4cc7c548ef9b4d771d1a972a068bdeed80323b4ebf70d9446e0c8ccc02dd",
+        506,
+        "f058e28ed4107ab1249c7907a41f6a8d1a803c18dfe5e79655e606f2221be3a5",
     ),
     "fault/net-partition": (
-        1019,
-        "3ed4ecceb98e53d687ebe0b0f60e0dc7b0f1aeaa37844ff413833453996c759a",
+        575,
+        "08568f7b56520dd321acf439d940dc64f31551753e737c05992dcab95a287af7",
     ),
     "fault/ost-crash": (
-        1148,
-        "3aad1770b154af3ce923734dbb0b80df9311b31f431c034dd79a948ab5f9a2b7",
+        617,
+        "b6229fc4a089972bae9965fa9c5040b1fa91cf19d7ddfed1a4c706abfcba5bbf",
     ),
     "fault/ost-degrade": (
-        1124,
-        "111b1c25849f0b833f8db1b6dd2385786fc5e4bfe6cc3ce55fdcaab7ce1fac92",
+        570,
+        "515228e839fb3e6e4f314ad9d016a3c88071067bf12e608e45e3974f53b178ea",
     ),
     "fault/stacked": (
-        1096,
-        "db365dde4f561ed386531ff56c4fd74b84ef7a9f72db78809fab4e87bf2269f2",
+        616,
+        "5b262628d00d81bb3bd85ddfc762aa75db986b06ee3aff5beb3401d5cae61efc",
     ),
     "hetero-osts": (
-        12653,
-        "f9376f52cb13f9e712088367a442a8e68bd8d99baf5b0189add7e4fbace1ead4",
+        5313,
+        "1e713d430f6fb4545f98908045095d13fb25d98fc42aadbd59684bf78d4963da",
     ),
     "mechanism/adaptbf-ewma/ost-crash": (
-        5562,
-        "ae8a75b59b31c1e82089c665848eb657e545c47e327526b32f0e18f99c7f28b6",
+        2037,
+        "55f23af660c7447dcf3215608764a3f98b17be17a775d8fecfc830e0634368d7",
     ),
     "mechanism/adaptbf-ewma/poisson-storm": (
-        7241,
-        "3cbb2f7400370f7a629eda819ed012e7e7001f996f4fc1f61615cc163f72fd31",
+        3004,
+        "03f244386b02c9e006c5714644d4676a62cebd0657fe7c82bdd2458dbb57a26f",
     ),
     "mechanism/adaptbf/ost-crash": (
-        5089,
-        "6fa1e0e072a83d64ee28d4b2ed0da7a0caf0ac2d444752cf877e335f1a4ea49b",
+        1948,
+        "644594fbeb43c13e95bf481c1f7a21b9ecf3289014c7f294ffdcbd2bda589a98",
     ),
     "mechanism/none/ost-crash": (
         2388,
@@ -290,36 +293,36 @@ GOLDENS = {
         "59a157808ac89040e68fe93fd80c6b87a1d769d721fddea3ce843c4d31d075ef",
     ),
     "mechanism/pid/ost-crash": (
-        1761,
-        "8016a584480bf15fd59afed99501e67961294f9c9e33ff6738bf38d5f86761ab",
+        1277,
+        "b5842f4370956b69867116e61e3c4f2e642bbd698479ad4a6d967f39c5b3c9ad",
     ),
     "mechanism/pid/poisson-storm": (
-        2486,
-        "c090d7667dcca27454e271657102e8babac945ed1866a8612a46e6f28b8fdf8c",
+        1580,
+        "6d9320a158b32e955e53c53eed60b103a01fc34136707bc2a0fb45013ca58d90",
     ),
     "mechanism/sdn/ost-crash": (
-        8446,
-        "6cf7996126848f02d9a698a6986a59f85b2c6c31efcee715acf647c5281825f2",
+        3169,
+        "200368c2d416326cfa51938b8f05c86352cc424aa1f7ec1c0471ee72fb4166ca",
     ),
     "mechanism/sdn/poisson-storm": (
-        15693,
-        "4db8f836836691be122378931320a9d2c2b6a9f01d3f74dfecd249e6461342fe",
+        4846,
+        "69901ca65393c7596b19cd628f20387775cc6e9f44e1e95849b7beb301a8e858",
     ),
     "mechanism/static/ost-crash": (
-        1840,
-        "c3b5eafe04398ae6b8b44d13c6a7bd5e386ba7d37b509da2edd88e7f58cc0459",
+        822,
+        "217a7bac8a47271132a8c9649856af547e525b7b22f3c8b481f539f82fbc421d",
     ),
     "mechanism/static/poisson-storm": (
-        2422,
-        "6908cb991cd440f880cbc9e2a2b3bb76f8dc686ff41a0de0dff68fcbdd10188e",
+        982,
+        "cc3374662cdc5c3b13ad5f136d55e1f8c3ba2ba0e7dc6bee4a5b84abfdad18d9",
     ),
     "mechanism/vc/ost-crash": (
         2404,
         "398149a4700518fb4cb20975f2212ff06f03c0d31e76890e7867934bbf0a8c43",
     ),
     "mechanism/vc/poisson-storm": (
-        3548,
-        "2321c78b77055f42f6bcd4412137f2d3e4b1d39d40f1412c119b27b8f3657972",
+        3220,
+        "e90d7ca454d3e0119cf5c42b0d3b006d7cc44790d202b39dac5ec2a97cba3781",
     ),
     "micro/condition-fan": (
         784,
@@ -334,36 +337,36 @@ GOLDENS = {
         "1f2110113fd7bcccd8b2ca1f2a5c8dc86e30ab32666292c87a216e9305aaaed6",
     ),
     "multiost": (
-        11521,
-        "da48ba556b7ed46ce03630faa6683658a5fc02033719692f24c888177fcce646",
+        5009,
+        "8b8bdcd560b76469a84208855c5bad4f47fa93ac0467a44d8f6fdf6616fc5645",
     ),
     "poisson-storm": (
-        7291,
-        "d7e64ac1b96b9db4b5766b4cf3a8a68f52b25309d29ec7fad88a36c4522759d9",
+        3022,
+        "73b5f220a7d58c352a5b7bdc2d588e99fff0f664dc07dc18c836126af001590c",
     ),
     "quickstart": (
-        28375,
-        "5e3cf452a3a98132993662b5d35051dad250f3c4d1d867285e68795e39e7ba8b",
+        10779,
+        "bb468b89aed4535d8f72c00cc4ea760e7c84566f7e2c4c74c3dfcf9233945e91",
     ),
     "recompensation": (
-        7571,
-        "6fe545082ddc12f0798e66340a94fe5170c15a37a2149278d3f17868558f3435",
+        4313,
+        "6bd9a716f757479c17dbbae097f25a6ea8b2270ab89a0ee1f07bda6bc196f4ac",
     ),
     "redistribution": (
-        6964,
-        "609b703f010f82d9a67f3d56ec620e0adf1101ed7623fe88bbce8b6c1480c9ea",
+        3331,
+        "8307770d7b97f4ecb3a9e65a48bf77c0035b61628a9fc7b281b9f380a589d934",
     ),
     "scale-500ost": (
-        45304,
-        "d16f94182cd6ae923965d420a4ecc26b8110057147423d36358cfa80be7abfd5",
+        42652,
+        "902723b2f00d982bdd431097ecc9ae096df97a03f4394f0755459647f8be8a19",
     ),
     "sdn/burst-storm": (
         722,
         "030b1df77ffc9ab82075369efe4934d45a37fd26a38a893c882f14b7b134a8b0",
     ),
     "sdn/ost-crash": (
-        61705,
-        "e807f341ffa60b32c5484a62ab9784d973eaf78ca76f35591dec05f0e4709c86",
+        18638,
+        "fdc58f4bf25652e4c4c6daf94944b246c02b446542f731c689bb35f784c1ad2f",
     ),
     "sdn/quickstart": (
         835,
@@ -374,16 +377,16 @@ GOLDENS = {
         "cc9844049e39f0cdc0fefe25abec5e087e159d54a35c1b96abb268ced753eb93",
     ),
     "vc/burst-storm": (
-        905,
-        "3aa8b21a6ce35cc6fc37a601da51740d7eb07bb602bd32c762674b41668a1002",
+        382,
+        "eb5dc2b1b425f87083b1124a48902078f87e2c69249b598ee75beaab82f15343",
     ),
     "vc/ost-crash": (
-        15260,
-        "50ae352cb2f1e52818229d60cc348dae659f7297a1af1458aea98f591b969100",
+        14857,
+        "cea55eafc6f22cb057168fc6991679fb8fb69cd93fccd287550ced922a82d657",
     ),
     "vc/quickstart": (
-        1262,
-        "c9d94c790af21e6e1987284ff9307ef8bdb66fab1ce7530e871f0e20c80123c4",
+        1026,
+        "2d2757c115248b9d474388294e9c3dcd4c54398dd48f329d32ff76ef6c8845fe",
     ),
 }
 

@@ -4,7 +4,6 @@ free-list hygiene, and the determinism invariant on a full scenario."""
 import pytest
 
 from repro.sim import Environment
-from repro.sim.events import Event, FirstOf, Timeout
 
 
 class TestLazyCancellation:
@@ -138,48 +137,6 @@ class TestFreeListHygiene:
         second = env.timeout(0.1)  # recycled, value defaults to None
         env.run()
         assert second.value is None
-
-
-class TestFirstOf:
-    def test_delivers_the_winning_event(self):
-        env = Environment()
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(2.0, value="slow")
-        race = FirstOf(env, (fast, slow))
-        env.run(until=race)
-        assert race.value is fast
-
-    def test_already_processed_component_wins_immediately(self):
-        env = Environment()
-        done = env.timeout(0.1)
-        env.run()
-        race = FirstOf(env, (done, env.timeout(5.0)))
-        env.run(until=race)
-        assert race.value is done
-        assert env.now < 5.0
-
-    def test_failure_propagates(self):
-        env = Environment()
-        failing = Event(env)
-        race = FirstOf(env, (failing, env.timeout(5.0)))
-        failing.fail(ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            env.run(until=race)
-
-    def test_loser_cancel_pattern(self):
-        """The OSS idle-wait pattern: race a timer against a broadcast and
-        retire the loser lazily."""
-        env = Environment()
-        arrival = Event(env)
-        timer = env.timeout(10.0)
-        race = FirstOf(env, (timer, arrival))
-        arrival.succeed()
-        env.run(until=race)
-        assert race.value is arrival
-        assert timer.callbacks is not None
-        timer.cancel()
-        env.run()
-        assert env.now < 10.0  # the cancelled timer never dispatched
 
 
 class _TraceRecorder:
