@@ -10,6 +10,16 @@ traverse the same NRS/TBF path and cost one token per RPC (the paper's
 convention); the handle attributes moved bytes to ``bytes_read`` /
 ``bytes_written`` per :class:`~repro.lustre.rpc.RpcKind` so mixed-op
 workloads stay observable.
+
+The window waits on one event per full window.  Each windowed RPC's
+``client_done`` carries one ``_on_done`` callback that counts the
+completion and relays the pending wait
+(:meth:`~repro.sim.engine.Environment.relay`), in the slot an ``any_of``
+over the RPCs in flight would trigger in, and the writer takes every
+completion counted by the time the wait triggered, the snapshot such an
+``any_of`` takes.  So the calendar order is that of an ``any_of`` per
+window, while an RPC that stays in flight across several windows carries
+one callback instead of one condition callback per window.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from repro.lustre.network import Network
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc, RpcKind
 from repro.lustre.striping import StripeLayout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -65,6 +76,9 @@ class IoHandle:
         "bytes_written",
         "bytes_read",
         "_stream_seq",
+        "_done",
+        "_wait",
+        "_on_done_cb",
     )
 
     def __init__(
@@ -78,9 +92,9 @@ class IoHandle:
         window: int = DEFAULT_WINDOW,
         layout: Optional[StripeLayout] = None,
     ) -> None:
-        if rpc_size <= 0:
-            raise ValueError(f"rpc_size must be positive, got {rpc_size}")
-        if window <= 0:
+        if not 0 < rpc_size < math.inf:  # also rejects NaN
+            raise ValueError(f"rpc_size must be positive and finite, got {rpc_size}")
+        if not window > 0:  # also rejects NaN
             raise ValueError(f"window must be positive, got {window}")
         self.env = env
         self.network = network
@@ -98,6 +112,12 @@ class IoHandle:
         self.bytes_written = 0
         self.bytes_read = 0
         self._stream_seq = 0
+        # Window state: completions not yet consumed by the writer and the
+        # event it waits on while the window is full (None when not waiting
+        # or already triggered).
+        self._done = 0
+        self._wait: Optional[Event] = None
+        self._on_done_cb = self._on_done
 
     def next_stream_seq(self) -> int:
         """Monotone counter for RNG-substream derivation.
@@ -152,19 +172,39 @@ class IoHandle:
         """
         if total_bytes <= 0:
             raise ValueError(f"total_bytes must be positive, got {total_bytes}")
+        env = self.env
+        window = self.window
+        on_done = self._on_done_cb
         n_chunks = math.ceil(total_bytes / self.rpc_size)
         remaining = total_bytes
-        in_flight = []
+        in_flight = 0
         issued = 0
         while issued < n_chunks or in_flight:
-            while issued < n_chunks and len(in_flight) < self.window:
+            while issued < n_chunks and in_flight < window:
                 size = min(self.rpc_size, remaining)
                 remaining -= size
-                in_flight.append(self.submit(size, kind=kind))
+                self.submit(size, kind=kind).callbacks.append(on_done)
+                in_flight += 1
                 issued += 1
-            # Wait for the window to open (any completion frees a slot).
-            done = yield self.env.any_of(in_flight)
-            in_flight = [ev for ev in in_flight if ev not in done]
+            # Wait for the window to open (any completion frees a slot),
+            # taking every completion processed by the time the wait
+            # triggers: the snapshot an any_of over the in-flight RPCs takes.
+            wait = Event(env)
+            if self._done:
+                env.relay(wait, self._done)
+            else:
+                self._wait = wait
+            done = yield wait
+            self._done -= done
+            in_flight -= done
+
+    def _on_done(self, _event: Event) -> None:
+        """A windowed RPC's reply arrived: count it and end a pending wait."""
+        self._done += 1
+        wait = self._wait
+        if wait is not None:
+            self._wait = None
+            self.env.relay(wait, self._done)
 
     def read(self, total_bytes: int) -> Generator:
         """Read ``total_bytes`` as a pipelined stream of READ RPCs.

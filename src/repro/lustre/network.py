@@ -6,6 +6,16 @@ paper's experiments are OST-bandwidth-bound (25 Gb NICs vs SATA SSDs), so
 network queueing is not the bottleneck; a fixed latency preserves pipelining
 behaviour (clients keep a window of RPCs in flight) without simulating the
 fabric.  Set ``latency_s=0`` for a zero-latency fabric.
+
+An RPC's round trip is four calendar slots: the deliver hop (one latency
+after submit, it enqueues the RPC at the OSS), the reply relay (one slot
+after the OSS served it, through ``Rpc.reply``), the reply hop (one
+latency later) and the ``client_done`` relay the client waits on.  Each is
+an :meth:`~repro.sim.engine.Environment.hop` or
+:meth:`~repro.sim.engine.Environment.relay`, so when thousands of lockstep
+clients put them in back-to-back slots of one instant, a run of them
+shares one calendar entry (docs/performance.md §"Adjacent slots share one
+entry"); the order they run in is the order separate events would have.
 """
 
 from __future__ import annotations
@@ -55,9 +65,9 @@ class Network:
         self._partitioned = False
         self._held: List[Rpc] = []
         self._rpcs_held = 0
-        # Hop callbacks are shared bound methods; the RPC rides along as the
-        # hop event's value, so the per-RPC closure allocations of the naive
-        # formulation disappear from this hot path.
+        # Hop callbacks are shared bound methods taking the RPC, so the
+        # per-RPC closure allocations of the naive formulation disappear
+        # from this hot path.
         self._deliver_cb = self._deliver
         self._reply_cb = self._reply
         self._finish_cb = self._finish
@@ -72,7 +82,7 @@ class Network:
         """
         env = self.env
         rpc.submitted = env.now
-        rpc.completion = Event(env)
+        rpc.reply = self._reply_cb
         rpc.client_done = client_done = Event(env)
         rpc.target_oss = oss
         self._rpcs_carried += 1
@@ -81,10 +91,9 @@ class Network:
             self._held.append(rpc)
             self._rpcs_held += 1
         elif self.latency_s:
-            env.timeout(self.latency_s, rpc).callbacks.append(self._deliver_cb)
+            env.hop(self.latency_s, self._deliver_cb, rpc)
         else:
             oss.receive(rpc)
-        rpc.completion.callbacks.append(self._reply_cb)
         return client_done
 
     # -- fault-axis surface ---------------------------------------------------
@@ -118,9 +127,7 @@ class Network:
         env = self.env
         for rpc in held:
             if self.latency_s:
-                env.timeout(self.latency_s, rpc).callbacks.append(
-                    self._deliver_cb
-                )
+                env.hop(self.latency_s, self._deliver_cb, rpc)
             else:
                 rpc.target_oss.receive(rpc)
         return len(held)
@@ -134,23 +141,20 @@ class Network:
         """Requests that were ever held by a partition window."""
         return self._rpcs_held
 
-    # -- hop callbacks (event value = the RPC in flight) ---------------------
-    def _deliver(self, event: Event) -> None:
-        rpc = event._value
+    # -- hop callbacks (each takes the RPC in flight) ------------------------
+    def _deliver(self, rpc: Rpc) -> None:
         rpc.target_oss.receive(rpc)
 
-    def _reply(self, event: Event) -> None:
-        rpc = event._value
+    def _reply(self, rpc: Rpc) -> None:
+        """The OSS served ``rpc`` (run one calendar slot after service,
+        through ``Rpc.reply``): send the reply message."""
         if self.latency_s:
-            self.env.timeout(self.latency_s, rpc).callbacks.append(
-                self._finish_cb
-            )
+            self.env.hop(self.latency_s, self._finish_cb, rpc)
         else:
-            rpc.client_done.succeed(rpc)
+            self.env.relay(rpc.client_done, rpc)
 
-    def _finish(self, event: Event) -> None:
-        rpc = event._value
-        rpc.client_done.succeed(rpc)
+    def _finish(self, rpc: Rpc) -> None:
+        self.env.relay(rpc.client_done, rpc)
 
     @property
     def rpcs_carried(self) -> int:

@@ -62,8 +62,9 @@ class NrsPolicy(ABC):
         return self._arrival
 
     def _signal_arrival(self) -> None:
-        current, self._arrival = self._arrival, Event(self.env)
-        current.succeed()
+        env = self.env
+        current, self._arrival = self._arrival, Event(env)
+        env.relay(current)
 
     # -- policy surface ----------------------------------------------------------
     @abstractmethod

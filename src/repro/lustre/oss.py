@@ -31,10 +31,12 @@ with one calendar event per trigger instead of one per thread:
 * When a broadcast or a batch timer dispatches, its pending tokens are
   marked woken.  A token without a deadline is drained inline, as a thread
   waiting on the broadcast alone would have been.  A token with one gets
-  a deferred wake: one calendar event in the slot where the first
-  per-thread wakeup would have gone, joined by every later deferred token
-  while nothing else is scheduled in between.  That event drains its
-  tokens inline, in park order.
+  a deferred wake: a zero-delay :meth:`~repro.sim.engine.Environment.hop`
+  in the slot where the first per-thread wakeup would have gone, whose
+  token list every later deferred token joins while that hop is still the
+  newest (:meth:`~repro.sim.engine.Environment.newest_hop`: nothing
+  scheduled or relayed in between).  The hop drains its tokens inline, in
+  park order.
 * Draining resumes a group's threads one by one.  Once a poll comes up
   empty, every later thread of the same dispatch would poll the same state
   and park with the same deadline, so they are re-parked, without being
@@ -136,7 +138,6 @@ class Oss:
         "_arrival_tokens",
         "_timers",
         "_wake_tokens",
-        "_wake_eid",
         "_parked",
         "_draining",
         "_on_timer_cb",
@@ -168,14 +169,13 @@ class Oss:
         self._rpcs_dropped = 0
         self._rpcs_retried = 0
         # Idle-pool state: the broadcast we hold a callback on and its
-        # tokens, the newest timer batch, the open deferred wake, the
-        # deadline of the last park (None: no park since it was cleared)
-        # and the group being drained.
+        # tokens, the newest timer batch, the token list of the open
+        # deferred wake hop, the deadline of the last park (None: no park
+        # since it was cleared) and the group being drained.
         self._arrival: Optional[Event] = None
         self._arrival_tokens: List[_Token] = []
         self._timers: Optional[_TimerBatch] = None
         self._wake_tokens: Optional[List[_Token]] = None
-        self._wake_eid = 0
         self._parked: Optional[float] = None
         self._draining: Optional[Event] = None
         self._on_timer_cb = self._on_timer
@@ -278,8 +278,8 @@ class Oss:
                 record_completion(rpc)
                 for callback in self._on_complete:
                     callback(rpc)
-                if rpc.completion is not None:
-                    rpc.completion.succeed(rpc)
+                if rpc.reply is not None:
+                    env.hop(0.0, rpc.reply, rpc)
                 continue
 
             yield self._park(wake)
@@ -289,7 +289,7 @@ class Oss:
         """Park the calling thread until ``wake`` or the next arrival.
 
         Returns the group event the thread yields; it never enters the
-        calendar — a broadcast or a wake event resumes it inline.  A thread
+        calendar — a broadcast or a wake hop resumes it inline.  A thread
         parking while its own group is being drained rejoins that group,
         which :meth:`_drain` then registers; any other thread joins the
         newest group or starts one (see :meth:`_register`).
@@ -395,20 +395,18 @@ class Oss:
                 self._defer(token)
 
     def _defer(self, token: _Token) -> None:
-        """Give a woken token its wake event, joining the open one when
-        nothing was scheduled since it."""
+        """Give a woken token its wake: a zero-delay hop, or the open one
+        while it is still the newest (nothing scheduled or relayed since)."""
         tokens = self._wake_tokens
         env = self.env
-        if tokens is not None and self._wake_eid == env._eid:
+        if tokens is not None and env.newest_hop() is tokens:
             tokens.append(token)
             return
         self._wake_tokens = tokens = [token]
-        env.timeout(0.0, tokens).callbacks.append(self._on_wake_cb)
-        self._wake_eid = env._eid
+        env.hop(0.0, self._on_wake_cb, tokens)
 
-    def _on_wake(self, event: Event) -> None:
-        """A wake event dispatched: drain its tokens in order."""
-        tokens = event.value
+    def _on_wake(self, tokens: List[_Token]) -> None:
+        """A wake hop ran: drain its tokens in order."""
         if tokens is self._wake_tokens:
             self._wake_tokens = None
         wake: Optional[float] = None

@@ -90,8 +90,10 @@ class Ost:
     # -- public API ---------------------------------------------------------
     def transfer(self, nbytes: float) -> Event:
         """Begin a transfer of ``nbytes``; returns its completion event."""
-        if nbytes <= 0:
-            raise ValueError(f"transfer size must be positive, got {nbytes}")
+        if not 0 < nbytes < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"transfer size must be positive and finite, got {nbytes}"
+            )
         self._advance(self.env.now)
         tid = next(self._ids)
         self._remaining[tid] = float(nbytes)
@@ -195,7 +197,8 @@ class Ost:
         self._check_timer = timer
 
     def _on_check(self, _event: Event) -> None:
-        now = self.env.now
+        env = self.env
+        now = env.now
         self._advance(now)
         finished = [
             tid for tid, left in self._remaining.items() if left <= _EPS_BYTES
@@ -213,8 +216,7 @@ class Ost:
         for tid in finished:
             self._remaining.pop(tid)
             self._bytes_served += self._sizes.pop(tid)
-            done = self._done_events.pop(tid)
-            done.succeed(now)
+            env.relay(self._done_events.pop(tid), now)
         self._reschedule()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

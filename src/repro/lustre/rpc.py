@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -64,12 +65,12 @@ class Rpc:
     dequeued: Optional[float] = None
     completed: Optional[float] = None
 
-    #: Event the client waits on; succeeds with the RPC once serviced.
-    completion: Optional["Event"] = None
+    #: Called with the RPC one calendar hop after the OSS served it (set by
+    #: the network: it sends the reply message).
+    reply: Optional[Callable[["Rpc"], None]] = None
 
-    #: Client-side event that fires one reply latency after ``completion``
-    #: (set by the network; lets hop callbacks be shared bound methods
-    #: instead of per-RPC closures).
+    #: Client-side event that fires one reply latency after ``reply`` ran
+    #: (set by the network; the event the client awaits).
     client_done: Optional["Event"] = None
 
     #: Serving OSS, set at submit time (the stripe layout's choice).
@@ -79,8 +80,10 @@ class Rpc:
     via_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"RPC size must be positive, got {self.size_bytes}")
+        if not 0 < self.size_bytes < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"RPC size must be positive and finite, got {self.size_bytes}"
+            )
 
     @property
     def queue_wait(self) -> Optional[float]:

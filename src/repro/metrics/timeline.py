@@ -7,6 +7,7 @@ Mirrors the paper's measurement method: "observation collected at every
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads where series are built
@@ -29,8 +30,8 @@ class Timeline:
     """
 
     def __init__(self, bin_s: float = 0.1) -> None:
-        if bin_s <= 0:
-            raise ValueError(f"bin_s must be positive, got {bin_s}")
+        if not 0 < bin_s < math.inf:  # also rejects NaN
+            raise ValueError(f"bin_s must be positive and finite, got {bin_s}")
         self.bin_s = float(bin_s)
         self._bins: Dict[str, Dict[int, float]] = {}
         self._total_bytes: Dict[str, float] = {}
@@ -39,8 +40,8 @@ class Timeline:
     # -- recording ---------------------------------------------------------
     def record(self, job_id: str, time: float, nbytes: float) -> None:
         """Credit ``nbytes`` served for ``job_id`` at ``time``."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 <= nbytes < math.inf:  # also rejects NaN
+            raise ValueError(f"nbytes must be >= 0 and finite, got {nbytes}")
         index = int(time / self.bin_s)
         self._bins.setdefault(job_id, {})
         self._bins[job_id][index] = self._bins[job_id].get(index, 0.0) + nbytes

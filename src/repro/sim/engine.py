@@ -26,6 +26,22 @@ goldens assert identical dispatch streams either way).
 Every scheduling site routes through ``env._push`` — a ``functools.partial``
 of the C ``heappush`` bound to the calendar — so the event types in
 :mod:`repro.sim.events` schedule without a Python frame per insert.
+
+Adjacent slots share one entry.  Work that would take the calendar slot
+right after the previous entry — same time, same priority, and nothing
+scheduled since (``_eid`` unmoved) — dispatches back to back with it, so
+:meth:`Environment.relay` (a zero-delay success) and :meth:`Environment.hop`
+(``fn(arg)`` after a delay) let such runs ride one *carrier* entry that
+runs its members in order.  The first relay of a run is pushed as the event
+itself, exactly where :meth:`Event.succeed` would put it; a carrier opens
+for the second item onward.  A carrier dispatch stops early and re-files
+its remainder under its own key when a member pushed a priority-0 entry at
+the same instant (a process bootstrap or an interrupt, which would have
+dispatched between two members) or processed the ``run(until=event)``
+event, and :meth:`Environment.step` runs one member per call.  The
+``(time, priority, seq)`` order of the work is unchanged; only the number
+of calendar entries is (see docs/performance.md §"Adjacent slots share one
+entry").
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _PENDING, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Environment", "SimulationError", "PRIORITY_URGENT", "PRIORITY_NORMAL"]
@@ -53,6 +69,53 @@ _FREE_LIST_CAP = 4096
 
 class SimulationError(RuntimeError):
     """Raised for engine misuse (e.g. running a finished simulation)."""
+
+
+class _Stop:
+    """A stand-in ``until`` event for carrier dispatch: ``callbacks`` is
+    None (processed) for :data:`_STEP` and never None for :data:`_NO_STOP`."""
+
+    __slots__ = ("callbacks",)
+
+    def __init__(self, callbacks: Optional[list]) -> None:
+        self.callbacks = callbacks
+
+
+#: No ``until`` event: a carrier runs to its end (unless split).
+_NO_STOP = _Stop([])
+#: :meth:`Environment.step`: a carrier runs one member, then re-files.
+_STEP = _Stop(None)
+
+
+class _Carrier(Event):
+    """One calendar entry carrying a run of adjacent-slot members.
+
+    ``members`` holds ``(fn, arg)`` pairs in slot order: ``fn(arg)`` for a
+    hop, ``(None, event)`` for a relayed event whose callbacks run as if it
+    had its own entry.  ``key`` is the carrier's ``(time, priority, seq)``
+    and ``next`` the index of the first member not yet run.
+    """
+
+    __slots__ = ("members", "key", "next")
+
+    def __init__(self, env: "Environment", key: Tuple[float, int, int]) -> None:
+        self.env = env
+        self.callbacks = [env._run_carrier]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.members: List[Tuple[Any, Any]] = []
+        self.key = key
+        self.next = 0
+
+    def live(self) -> bool:
+        """True while a member not yet run is a hop or an uncancelled
+        event."""
+        return any(
+            fn is not None or arg.callbacks is not None
+            for fn, arg in self.members[self.next :]
+        )
 
 
 def _finish_run(stop_event: Optional[Event]) -> Any:
@@ -99,6 +162,10 @@ class Environment:
         "_free_timeouts",
         "_reuse_timeouts",
         "_push",
+        "_relay_eid",
+        "_relay_at",
+        "_relay_carrier",
+        "_stop",
         "trace",
     )
 
@@ -116,6 +183,14 @@ class Environment:
         self._push: Callable[[Tuple[float, int, int, Event]], None] = partial(
             heappush, self._queue
         )
+        # Adjacent-slot state: the seq and time of the newest relay/hop
+        # entry and, when that entry is a carrier still open for members,
+        # the carrier.  ``_stop`` is the running ``until`` event (or a
+        # stand-in) that a carrier checks between members.
+        self._relay_eid = -1
+        self._relay_at = 0.0
+        self._relay_carrier: Optional[_Carrier] = None
+        self._stop: Any = _NO_STOP
         #: Optional dispatch hook ``trace(time, priority, seq, event)`` —
         #: invoked for every dispatched event, in dispatch order.  Used by
         #: the determinism tests; leave ``None`` in production runs.
@@ -134,18 +209,20 @@ class Environment:
 
     @property
     def dispatched(self) -> int:
-        """Total events dispatched so far (skipped cancelled entries do not
-        count)."""
+        """Calendar entries dispatched so far (skipped cancelled entries do
+        not count; a carrier counts once per dispatch, however many members
+        it runs)."""
         return self._dispatched
 
     @property
     def scheduled(self) -> int:
-        """Total events scheduled so far (calendar inserts).
+        """Calendar entries scheduled so far (inserts stamped with a seq).
 
-        The benchmark harness's events/sec numerator: the determinism
-        invariant fixes the schedule sequence for a given workload, so this
-        count is identical across engine versions, and the events/sec ratio
-        between two engines equals their wall-clock ratio.
+        Relays and hops that ride an open carrier take no entry and are not
+        counted, so the count is a measure of calendar work: it moves when
+        the engine or a model learns to do the same work with fewer entries
+        (the events-per-RPC counter of the benchmarks), while the
+        ``(time, priority, seq)`` order of the work itself stays fixed.
         """
         return self._eid
 
@@ -173,6 +250,116 @@ class Environment:
             self._push((self._now + delay, PRIORITY_NORMAL, eid, timeout))
             return timeout
         return Timeout(self, delay, value)
+
+    def relay(self, event: Event, value: Any = None) -> Event:
+        """Succeed ``event`` with ``value`` now, like :meth:`Event.succeed`.
+
+        Its callbacks run in the slot ``succeed`` would have given it.  When
+        that slot is the one right after the newest relay/hop entry (same
+        time, nothing scheduled since), the event rides that entry's carrier
+        instead of taking an entry of its own.
+        """
+        if event._value is not _PENDING or event._cancelled:
+            raise RuntimeError(f"{event!r} already triggered")
+        event._ok = True
+        event._value = value
+        now = self._now
+        if self._eid == self._relay_eid and now == self._relay_at:
+            carrier = self._relay_carrier
+            if carrier is None:
+                carrier = self._open_carrier(now)
+            carrier.members.append((None, event))
+            return event
+        self._eid = eid = self._eid + 1
+        self._push((now, PRIORITY_NORMAL, eid, event))
+        self._relay_eid = eid
+        self._relay_at = now
+        self._relay_carrier = None
+        return event
+
+    def hop(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` ``delay`` seconds from now, in the slot a
+        ``timeout(delay)`` created now would take.
+
+        Adjacent hops (and relays) share one carrier entry; a hop that
+        starts a run opens one.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative hop delay: {delay!r}")
+        at = self._now + delay
+        carrier = self._relay_carrier
+        if carrier is None or self._eid != self._relay_eid or at != self._relay_at:
+            carrier = self._open_carrier(at)
+        carrier.members.append((fn, arg))
+
+    def newest_hop(self) -> Any:
+        """The ``arg`` of the newest relay/hop member while nothing has been
+        scheduled, relayed or hopped since (else None).
+
+        Work added to that ``arg`` runs in the slot a further hop at the
+        same time would get, so a caller batching its own payloads (the OSS
+        deferred wakes) may extend it instead of hopping again.
+        """
+        carrier = self._relay_carrier
+        if carrier is None or self._eid != self._relay_eid:
+            return None
+        return carrier.members[-1][1]
+
+    def _open_carrier(self, at: float) -> _Carrier:
+        """Push a new, empty carrier at ``at`` and make it the open one."""
+        self._eid = eid = self._eid + 1
+        carrier = _Carrier(self, (at, PRIORITY_NORMAL, eid))
+        self._push((at, PRIORITY_NORMAL, eid, carrier))
+        self._relay_eid = eid
+        self._relay_at = at
+        self._relay_carrier = carrier
+        return carrier
+
+    def _run_carrier(self, carrier: _Carrier) -> None:
+        """Run a dispatched carrier's members in slot order.
+
+        Members joined during the dispatch (nothing scheduled since, so
+        their slots come right after the last member) run in it too.  The
+        dispatch stops, re-filing the remainder under the carrier's own key,
+        when the next member no longer comes next: a member pushed a
+        priority-0 entry at this instant, or processed the run's ``until``
+        event (``step`` counts as processed after every member).
+        """
+        members = carrier.members
+        key = carrier.key
+        queue = self._queue
+        stop = self._stop
+        eid = self._eid
+        i = carrier.next
+        try:
+            while i < len(members):
+                fn, arg = members[i]
+                i += 1
+                if fn is None:
+                    callbacks = arg.callbacks
+                    if callbacks is None:
+                        continue  # cancelled while riding the carrier
+                    arg.callbacks = None
+                    for callback in callbacks:
+                        callback(arg)
+                else:
+                    fn(arg)
+                if self._eid != eid:
+                    # Something was scheduled: a priority-0 entry at this
+                    # instant sorts before the rest of the carrier.
+                    eid = self._eid
+                    if queue[0] < key:
+                        break
+                if stop.callbacks is None:
+                    break
+        finally:
+            # Also after a raising member: the rest stays on the calendar.
+            if i < len(members):
+                carrier.next = i
+                carrier.callbacks = [self._run_carrier]
+                self._push(key + (carrier,))
+            elif self._relay_carrier is carrier:
+                self._relay_carrier = None
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Spawn ``generator`` as a simulation process and return its handle."""
@@ -217,7 +404,16 @@ class Environment:
             callbacks = event.callbacks
             if callbacks is None:
                 continue  # lazily cancelled; never dispatched
-            self._dispatch(when, priority, seq, event, callbacks)
+            if type(event) is _Carrier and not event.live():
+                # Every member left was cancelled: skip it like one.
+                if self._relay_carrier is event:
+                    self._relay_carrier = None
+                continue
+            self._stop = _STEP  # a carrier runs one live member
+            try:
+                self._dispatch(when, priority, seq, event, callbacks)
+            finally:
+                self._stop = _NO_STOP
             return
         raise SimulationError("step() on an empty event queue")
 
@@ -276,9 +472,14 @@ class Environment:
                     f"run(until={stop_at}) is in the past (now={self._now})"
                 )
 
+        if stop_event is not None:
+            self._stop = stop_event
         if self.trace is not None:
             # Traced runs take the readable one-event-at-a-time path.
-            return self._run_traced(stop_at, stop_event)
+            try:
+                return self._run_traced(stop_at, stop_event)
+            finally:
+                self._stop = _NO_STOP
 
         queue = self._queue
         pop = heappop
@@ -402,6 +603,7 @@ class Environment:
                         free.append(event)
         finally:
             self._dispatched = dispatched
+            self._stop = _NO_STOP
 
         return _finish_run(stop_event)
 

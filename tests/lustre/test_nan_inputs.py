@@ -1,19 +1,23 @@
-"""NaN (and, for OST capacity, infinity) is refused at every lustre entry
-point that takes a rate, a delay or a bandwidth.
+"""NaN (and, where the value must be finite, infinity) is refused at every
+lustre entry point that takes a rate, a delay, a bandwidth or a size, and
+at the throughput timeline.
 
 A NaN rate yields NaN token deadlines, which compare false against
 everything and silently corrupt the TBF deadline heap; a NaN latency or
-overhead yields NaN event times.  Each validator uses the ``not x >= 0``
-form, which rejects NaN as well as negatives.
+overhead yields NaN event times.  A NaN transfer size dies later inside the
+OST's completion check, and an infinite one never completes.  Each
+validator uses the ``not x >= 0`` / ``not 0 < x < inf`` form, which rejects
+NaN as well as negatives.
 """
 
 import math
 
 import pytest
 
-from repro.lustre import FifoPolicy, Network, Oss, Ost, TbfPolicy
+from repro.lustre import FifoPolicy, IoHandle, Network, Oss, Ost, Rpc, TbfPolicy
 from repro.lustre.bucket import TokenBucket
 from repro.lustre.tbf import TbfRule, TbfScheduler
+from repro.metrics.timeline import Timeline
 from repro.sim import Environment
 
 NAN = float("nan")
@@ -48,6 +52,12 @@ def _set_capacity(capacity):
     Ost(Environment(), "o", 1e9).set_capacity(capacity)
 
 
+def _io_handle(**kwargs):
+    env = Environment()
+    oss = Oss(env, Ost(env, "o", 1e9), FifoPolicy(env))
+    IoHandle(env, Network(env), oss, "job1", "c0", **kwargs)
+
+
 #: Entry point → callable taking the bad value.
 ENTRY_POINTS = {
     "TokenBucket.rate": lambda x: TokenBucket(x),
@@ -63,10 +73,24 @@ ENTRY_POINTS = {
     "Network.set_latency": _set_latency,
     "Ost.capacity_bps": lambda x: Ost(Environment(), "o", x),
     "Ost.set_capacity": _set_capacity,
+    "Ost.transfer": lambda x: Ost(Environment(), "o", 1e9).transfer(x),
+    "Rpc.size_bytes": lambda x: Rpc("job1", "c0", size_bytes=x),
+    "IoHandle.rpc_size": lambda x: _io_handle(rpc_size=x),
+    "IoHandle.window": lambda x: _io_handle(window=x),
+    "Timeline.bin_s": lambda x: Timeline(bin_s=x),
+    "Timeline.record": lambda x: Timeline().record("job1", 0.0, x),
 }
 
 #: Entry points that also refuse an infinite value.
-FINITE_ONLY = {"Ost.capacity_bps", "Ost.set_capacity"}
+FINITE_ONLY = {
+    "Ost.capacity_bps",
+    "Ost.set_capacity",
+    "Ost.transfer",
+    "Rpc.size_bytes",
+    "IoHandle.rpc_size",
+    "Timeline.bin_s",
+    "Timeline.record",
+}
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -17,8 +17,9 @@ Every row is checked with the timeout free list on and off: recycling
 timeouts must not move a single dispatch.  Re-recording a digest is a
 schedule change and needs a CHANGES.md line naming the cause.  A change
 that does the same simulation with different events (the OSS idle pool's
-one wake per trigger) moves rows here while the service records, figure
-CSVs and campaign rows pinned by ``test_service_goldens.py`` stay put.
+one wake per trigger, adjacent relays and hops sharing one carrier entry)
+moves rows here while the service records, figure CSVs and campaign rows
+pinned by ``test_service_goldens.py`` stay put.
 """
 
 import pytest
@@ -225,104 +226,104 @@ MICRO_CASES = {
 #: Row name → (dispatched events, SHA-256 of the dispatch stream).
 GOLDENS = {
     "allocation": (
-        4368,
-        "83b8ddad059e8841ed2d491b0680c0502d26386ea24e0b1e253b3493ce93d3bd",
+        895,
+        "88e8aa7aadea40dad32e71339e29df0ca9f4e410d217e35e64b1330ebf631e61",
     ),
     "burst-storm": (
-        3000,
-        "5a4b74a8eb4c7d8044529268fe01d2845c947df5de62f2d3a8029ffb42fe1ac8",
+        1425,
+        "2746e61375999647e3d475d5ba28cb0f44c22689e7f1e29f0b779de6f1ffce4a",
     ),
     "client-swarm": (
-        18772,
-        "a63a74c20774eef050cc376e1fbb05d3034a683609afbabde7a84d832ab38215",
+        3795,
+        "68576e8b7e81ed017ee8ae6e708bae68b6e600bce984fddef429511ae4c4aa1f",
     ),
     "diurnal-mix": (
-        3270,
-        "f83f91008fba022b9a4edcf3b27da37e91fa9ff723cb440c58539f85a0168ee0",
+        1740,
+        "9df118669f0fa0a903666083f02e8ab85d8d467bc25cfece467ae48bc52c5b5b",
     ),
     "elastic-churn": (
-        1136,
-        "09cb021a7fdbd29684da6db281a9d2d1f24fa07b90882638c27e4e0e9c9530c2",
+        366,
+        "9acbd973450ba12ab9cd091db5c73a91eef6fe3ecf0b1210e01b15bcd159c5a9",
     ),
     "fault/client-churn": (
-        577,
-        "6e83d81dcdde34a96213192d4fbb542472f902c11a5f4372d65a0b016808851e",
+        241,
+        "9d8e3f9b0cd4b112a55364639e5b10cb731c00f46e19a010591f98f7851bfac3",
     ),
     "fault/net-delay": (
-        506,
-        "f058e28ed4107ab1249c7907a41f6a8d1a803c18dfe5e79655e606f2221be3a5",
+        211,
+        "44bd7ec9127f3d622e8e500cc95eb52885a47ddfc8b32cffb97b14166a180bbd",
     ),
     "fault/net-partition": (
-        575,
-        "08568f7b56520dd321acf439d940dc64f31551753e737c05992dcab95a287af7",
+        265,
+        "11b519b0da854a9023f96a3c298cc7ca4287337e02e4c39920b2dfea74b0c725",
     ),
     "fault/ost-crash": (
-        617,
-        "b6229fc4a089972bae9965fa9c5040b1fa91cf19d7ddfed1a4c706abfcba5bbf",
+        317,
+        "85fbe5198f6667e9da2d115e24df71beebcc5cf979e7019e8c8ccc086cd04bb7",
     ),
     "fault/ost-degrade": (
-        570,
-        "515228e839fb3e6e4f314ad9d016a3c88071067bf12e608e45e3974f53b178ea",
+        288,
+        "edd24b80b741c956bc3c21296271f2fe2698634885eb2d2f295b5c7b8f9a4a50",
     ),
     "fault/stacked": (
-        616,
-        "5b262628d00d81bb3bd85ddfc762aa75db986b06ee3aff5beb3401d5cae61efc",
+        316,
+        "99733a398b48ba8e036c566b1913bff6db6b770be58d8d959c3323a24e60bfda",
     ),
     "hetero-osts": (
-        5313,
-        "1e713d430f6fb4545f98908045095d13fb25d98fc42aadbd59684bf78d4963da",
+        2915,
+        "f86cab89d611a8de97f0cc8ee07196114a0548fa19c836d2776c0ba899f30b22",
     ),
     "mechanism/adaptbf-ewma/ost-crash": (
-        2037,
-        "55f23af660c7447dcf3215608764a3f98b17be17a775d8fecfc830e0634368d7",
+        932,
+        "5106bce8d62c9c1c43fbeead79634478353ebf61ab45315b0e8fb87936e081d5",
     ),
     "mechanism/adaptbf-ewma/poisson-storm": (
-        3004,
-        "03f244386b02c9e006c5714644d4676a62cebd0657fe7c82bdd2458dbb57a26f",
+        1523,
+        "2b44065098b2abc05d41e79974d78e104fdf6b2c09726c26e7cf549a28a47fd1",
     ),
     "mechanism/adaptbf/ost-crash": (
-        1948,
-        "644594fbeb43c13e95bf481c1f7a21b9ecf3289014c7f294ffdcbd2bda589a98",
+        882,
+        "4d232d1dd9f7be5a7713acbe5bb61ae51c50c7bdcc59483cea8df3dd8311e8b3",
     ),
     "mechanism/none/ost-crash": (
-        2388,
-        "c1cc35811054d51318e1aeeb7f458555fdff56d44ccd4f8e52632463a8423fa4",
+        642,
+        "3e7df24c4df91f58af9a8f996ac20c4dd8c772468d334bb4787828352030877a",
     ),
     "mechanism/none/poisson-storm": (
-        3371,
-        "59a157808ac89040e68fe93fd80c6b87a1d769d721fddea3ce843c4d31d075ef",
+        869,
+        "47bf59751121b1558db55bb06a1b2deaa79f28c48cbb2d30e7eb3eae933e53f5",
     ),
     "mechanism/pid/ost-crash": (
-        1277,
-        "b5842f4370956b69867116e61e3c4f2e642bbd698479ad4a6d967f39c5b3c9ad",
+        436,
+        "a546ec9aedc20886416e2687c4f6aaa3ee32818cc53a2ea25aa36225001cd88e",
     ),
     "mechanism/pid/poisson-storm": (
-        1580,
-        "6d9320a158b32e955e53c53eed60b103a01fc34136707bc2a0fb45013ca58d90",
+        568,
+        "87226e611de2a640c1930023878f88fb5c8dca77a272cd984ad82214276328db",
     ),
     "mechanism/sdn/ost-crash": (
-        3169,
-        "200368c2d416326cfa51938b8f05c86352cc424aa1f7ec1c0471ee72fb4166ca",
+        1701,
+        "56e9a5459e18cbc78e67a0d99f4a3b5bcfd908ae048c9e8a1ef1a53e6f989653",
     ),
     "mechanism/sdn/poisson-storm": (
-        4846,
-        "69901ca65393c7596b19cd628f20387775cc6e9f44e1e95849b7beb301a8e858",
+        2845,
+        "6114bc4be300c6828463ebb37d41af9db58dfc89f91509fde00b704959578c75",
     ),
     "mechanism/static/ost-crash": (
-        822,
-        "217a7bac8a47271132a8c9649856af547e525b7b22f3c8b481f539f82fbc421d",
+        398,
+        "b5579d23d9bb85aa10921b834a0d92dbf248b8f595ee1f590b0fcf69d8d6197a",
     ),
     "mechanism/static/poisson-storm": (
-        982,
-        "cc3374662cdc5c3b13ad5f136d55e1f8c3ba2ba0e7dc6bee4a5b84abfdad18d9",
+        506,
+        "895aae8af9fde3aa84293da1da3b6c64f0309729a6104fc7ee0bfdde8c882b82",
     ),
     "mechanism/vc/ost-crash": (
-        2404,
-        "398149a4700518fb4cb20975f2212ff06f03c0d31e76890e7867934bbf0a8c43",
+        677,
+        "38ed84d8fc852225defc3904577e279697a94b15541644ea70d10c62191e5cd4",
     ),
     "mechanism/vc/poisson-storm": (
-        3220,
-        "e90d7ca454d3e0119cf5c42b0d3b006d7cc44790d202b39dac5ec2a97cba3781",
+        897,
+        "24cf36ec916493c5a0adac1430d3dc5739ebc181f6a463088b4d326db5576ee3",
     ),
     "micro/condition-fan": (
         784,
@@ -337,56 +338,56 @@ GOLDENS = {
         "1f2110113fd7bcccd8b2ca1f2a5c8dc86e30ab32666292c87a216e9305aaaed6",
     ),
     "multiost": (
-        5009,
-        "8b8bdcd560b76469a84208855c5bad4f47fa93ac0467a44d8f6fdf6616fc5645",
+        1992,
+        "5e9000fd89e8a9a2a0728e1f058731fab021c4a01f56dfe4e81091d894335f2f",
     ),
     "poisson-storm": (
-        3022,
-        "73b5f220a7d58c352a5b7bdc2d588e99fff0f664dc07dc18c836126af001590c",
+        1538,
+        "008aca600476ad02f6695c26b5abdfbfbc6431a6321c3da5879fba394c9578b3",
     ),
     "quickstart": (
-        10779,
-        "bb468b89aed4535d8f72c00cc4ea760e7c84566f7e2c4c74c3dfcf9233945e91",
+        7049,
+        "50b9180c518ebc1b4fd32e160f7cbc0b6fcf1c769ea882f188bfdd1b41df0c11",
     ),
     "recompensation": (
-        4313,
-        "6bd9a716f757479c17dbbae097f25a6ea8b2270ab89a0ee1f07bda6bc196f4ac",
+        2042,
+        "c0f2bac8dd98557db2d956f0812d1f07747448cd229b8e88fd1db77852f2dbfb",
     ),
     "redistribution": (
-        3331,
-        "8307770d7b97f4ecb3a9e65a48bf77c0035b61628a9fc7b281b9f380a589d934",
+        1301,
+        "c405eceee6ab10e21f4e52c3c7318dc5b2584928c4663198d42b72d2a6e3680d",
     ),
     "scale-500ost": (
-        42652,
-        "902723b2f00d982bdd431097ecc9ae096df97a03f4394f0755459647f8be8a19",
+        19922,
+        "e506757713294a42f6ca21f750cfd834d6eac75b8d4a54eca63b1693e8ff3065",
     ),
     "sdn/burst-storm": (
-        722,
-        "030b1df77ffc9ab82075369efe4934d45a37fd26a38a893c882f14b7b134a8b0",
+        216,
+        "e2614be08f7b23c39945a2db17bf363d7075e8ade16fc2440f79f84c4093d93a",
     ),
     "sdn/ost-crash": (
-        18638,
-        "fdc58f4bf25652e4c4c6daf94944b246c02b446542f731c689bb35f784c1ad2f",
+        10193,
+        "10e4e5147dc75f7dcb697757643584ed8ba7fac818cde1c471ea3b87937d2b65",
     ),
     "sdn/quickstart": (
-        835,
-        "3d7574a32a818eef9ebf9d28185edd9e207265840d38ff5bb8680c4ea28f259a",
+        195,
+        "72161f91394d729e05389127547b3fca97c3ca18fe6fd5fd0feec05f8bdaa790",
     ),
     "trace-replay": (
-        335,
-        "cc9844049e39f0cdc0fefe25abec5e087e159d54a35c1b96abb268ced753eb93",
+        69,
+        "c8ed641f6890d6df8db2c864d130758b5263b60c6c86246f7bc6ab27b7b6380c",
     ),
     "vc/burst-storm": (
-        382,
-        "eb5dc2b1b425f87083b1124a48902078f87e2c69249b598ee75beaab82f15343",
+        191,
+        "224cd9c8ccc28beb1cf9a25de2f113f689b947479bcb1b0b45513eca4fde0dc1",
     ),
     "vc/ost-crash": (
-        14857,
-        "cea55eafc6f22cb057168fc6991679fb8fb69cd93fccd287550ced922a82d657",
+        6227,
+        "cc5191dad55d09518f763c10c54cd918cf3ec524a58f48897ff874c3eb6a9217",
     ),
     "vc/quickstart": (
-        1026,
-        "2d2757c115248b9d474388294e9c3dcd4c54398dd48f329d32ff76ef6c8845fe",
+        497,
+        "f82a3365cf9f1a8b27c69d66c232340b7e7966fd21b43f7a6a0dd9883d363b30",
     ),
 }
 
