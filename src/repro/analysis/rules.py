@@ -328,6 +328,60 @@ class CalendarSeamOnly(LintRule):
 
 
 @RULES.register(
+    "collector-owned-by-engine",
+    description="only sim/engine.py pauses or tunes the cyclic collector",
+)
+class CollectorOwnedByEngine(LintRule):
+    """Ban ``gc.disable``/``enable``/``freeze``/``set_threshold`` outside
+    ``sim/engine.py``.
+
+    :meth:`Environment.run <repro.sim.engine.Environment.run>` owns the one
+    pause of CPython's cyclic collector: it disables the collector for the
+    run and restores the caller's state on every exit path.  That is sound
+    only because model code makes no reference cycle per event
+    (``tests/sim/test_acyclic.py``).  A second switch elsewhere would
+    either re-enable collection in the middle of a run or leave it off
+    after one — and a benchmark that tunes the collector would measure a
+    simulator nobody runs.  Reading the state (``gc.isenabled``) and
+    ``gc.collect`` stay free for everyone.
+
+    Example
+    -------
+    ```python
+    from repro.analysis import lint_source
+
+    bad = "import gc\\ndef fast(env):\\n    gc.disable()\\n    env.run()\\n"
+    (v,) = lint_source(bad, rel="src/repro/cluster/fast.py")
+    assert (v.rule, v.line) == ("collector-owned-by-engine", 3)
+
+    assert lint_source(bad, rel="src/repro/sim/engine.py") == []
+    ok = "import gc\\ndef tidy():\\n    return gc.collect()\\n"
+    assert lint_source(ok, rel="src/repro/cluster/fast.py") == []
+    ```
+    """
+
+    id = "collector-owned-by-engine"
+
+    #: ``gc`` functions that change whether or how the collector runs.
+    _SWITCHES = frozenset(
+        {"gc.disable", "gc.enable", "gc.freeze", "gc.set_threshold"}
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.is_file("src/repro/sim/engine.py"):
+            return
+        for node, dotted in _UsageScan(
+            ctx.tree, lambda d: d in self._SWITCHES
+        ).hits:
+            yield ctx.violation(
+                self.id,
+                node,
+                f"{dotted}: the cyclic collector is paused and restored by "
+                "Environment.run alone (repro.sim.engine)",
+            )
+
+
+@RULES.register(
     "no-dict-order-leak",
     description="set iteration order never feeds ordered output",
 )

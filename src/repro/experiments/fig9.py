@@ -20,13 +20,16 @@ their volume pinned to the scenario config's separate 1024 MiB/s hint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
 from repro.workloads.scenarios import ScenarioConfig
 
-__all__ = ["run", "report", "check_shapes", "PAPER_INTERVALS_S"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaigns import CampaignSpec
+
+__all__ = ["campaign", "run", "report", "check_shapes", "PAPER_INTERVALS_S"]
 
 #: The paper sweeps the allocation period starting at its 100 ms choice.
 PAPER_INTERVALS_S = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -50,6 +53,31 @@ class ShapeCheck:
     detail: str
 
 
+def campaign(
+    scenario_cfg: Optional[ScenarioConfig] = None,
+    intervals_s: Sequence[float] = PAPER_INTERVALS_S,
+    capacity_mib_s: float = 1024.0,
+) -> "CampaignSpec":
+    """The ``freq-sweep`` campaign :func:`run` executes: one cell per
+    allocation period, scaled with the scenario's time scale."""
+    # Function-level import: repro.campaigns.builtin imports this module
+    # for PAPER_INTERVALS_S, so the campaign engine must load lazily.
+    from repro.campaigns import CAMPAIGNS
+
+    cfg = scenario_cfg or bench_scale()
+    return CAMPAIGNS.build(
+        "freq-sweep",
+        # str() round-trips floats exactly, so each cell's interval_s is
+        # bit-identical to the scaled value run() computes.
+        intervals=",".join(str(interval * cfg.time_scale) for interval in intervals_s),
+        data_scale=cfg.data_scale,
+        time_scale=cfg.time_scale,
+        heavy_procs=cfg.heavy_procs,
+        window=cfg.window,
+        capacity_mib_s=capacity_mib_s,
+    )
+
+
 def run(
     scenario_cfg: Optional[ScenarioConfig] = None,
     intervals_s: Sequence[float] = PAPER_INTERVALS_S,
@@ -57,24 +85,11 @@ def run(
     jobs: int = 1,
 ) -> FrequencySweep:
     """Sweep the AdapTBF observation period over the §IV-F workload."""
-    # Function-level import: repro.campaigns.builtin imports this module
-    # for PAPER_INTERVALS_S, so the campaign engine must load lazily.
-    from repro.campaigns import CAMPAIGNS, run_campaign
+    from repro.campaigns import run_campaign
 
     cfg = scenario_cfg or bench_scale()
     scaled = [interval * cfg.time_scale for interval in intervals_s]
-    campaign = CAMPAIGNS.build(
-        "freq-sweep",
-        # str() round-trips floats exactly, so each cell's interval_s is
-        # bit-identical to the scaled value computed here.
-        intervals=",".join(str(interval) for interval in scaled),
-        data_scale=cfg.data_scale,
-        time_scale=cfg.time_scale,
-        heavy_procs=cfg.heavy_procs,
-        window=cfg.window,
-        capacity_mib_s=capacity_mib_s,
-    )
-    result = run_campaign(campaign, jobs=jobs)
+    result = run_campaign(campaign(cfg, intervals_s, capacity_mib_s), jobs=jobs)
     aggregates = {
         outcome.params["interval_s"]: outcome.row.aggregate_mib_s
         for outcome in result.outcomes

@@ -22,6 +22,7 @@ bit-identical run over run and across ``--jobs`` fan-out.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Tuple
 
 from repro.faults.injector import FAULTS, FaultHandle, FaultInjector
@@ -43,10 +44,13 @@ class _WindowedInjector(FaultInjector):
     """Shared shape: one ``[start_s, start_s + duration_s)`` window."""
 
     def __init__(self, start_s: float, duration_s: float) -> None:
-        if start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {start_s}")
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s}")
+        # The window's edges become timeout delays, which must be finite.
+        if not 0 <= start_s < math.inf:  # also rejects NaN
+            raise ValueError(f"start_s must be >= 0 and finite, got {start_s}")
+        if not 0 < duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be positive and finite, got {duration_s}"
+            )
         self.start_s = float(start_s)
         self.duration_s = float(duration_s)
 

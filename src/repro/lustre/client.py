@@ -78,7 +78,6 @@ class IoHandle:
         "_stream_seq",
         "_done",
         "_wait",
-        "_on_done_cb",
     )
 
     def __init__(
@@ -117,7 +116,6 @@ class IoHandle:
         # or already triggered).
         self._done = 0
         self._wait: Optional[Event] = None
-        self._on_done_cb = self._on_done
 
     def next_stream_seq(self) -> int:
         """Monotone counter for RNG-substream derivation.
@@ -170,11 +168,15 @@ class IoHandle:
         Keeps up to ``window`` RPCs outstanding; yields until every chunk has
         completed.  Usage inside a program: ``yield from io.write(1 << 30)``.
         """
-        if total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {total_bytes}")
+        if not 0 < total_bytes < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"total_bytes must be positive and finite, got {total_bytes}"
+            )
         env = self.env
         window = self.window
-        on_done = self._on_done_cb
+        # One bound method per stream, not one stored on self: that would
+        # be a self-cycle outliving the client.
+        on_done = self._on_done
         n_chunks = math.ceil(total_bytes / self.rpc_size)
         remaining = total_bytes
         in_flight = 0

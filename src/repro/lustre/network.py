@@ -151,10 +151,14 @@ class Network:
         if self.latency_s:
             self.env.hop(self.latency_s, self._finish_cb, rpc)
         else:
-            self.env.relay(rpc.client_done, rpc)
+            self._finish(rpc)
 
     def _finish(self, rpc: Rpc) -> None:
-        self.env.relay(rpc.client_done, rpc)
+        """Relay ``client_done`` with the RPC as its value, detached from
+        the RPC first: RPC → event → RPC would be a cycle per RPC."""
+        client_done = rpc.client_done
+        rpc.client_done = None
+        self.env.relay(client_done, rpc)
 
     @property
     def rpcs_carried(self) -> int:

@@ -379,9 +379,11 @@ class Oss:
                 continue
             batch.pending -= 1
             if not batch.pending:
-                # Every token of the batch woke early: retire its timer.
+                # Every token of the batch woke early: retire its timer and
+                # drop its tokens (each points back at the batch).
                 timer = batch.timer
                 batch.timer = None
+                batch.tokens = []
                 timer.cancel()
             self._defer(token)
 
@@ -389,7 +391,9 @@ class Oss:
         """A batch timer dispatched: defer-wake the tokens still pending."""
         batch = event.value
         batch.timer = None
-        for token in batch.tokens:
+        # Detach the tokens: each points back at the batch.
+        tokens, batch.tokens = batch.tokens, []
+        for token in tokens:
             if not token.woken:
                 token.woken = True
                 self._defer(token)

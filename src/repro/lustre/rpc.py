@@ -70,7 +70,8 @@ class Rpc:
     reply: Optional[Callable[["Rpc"], None]] = None
 
     #: Client-side event that fires one reply latency after ``reply`` ran
-    #: (set by the network; the event the client awaits).
+    #: (set by the network; the event the client awaits).  The network
+    #: clears it when it relays the event, whose value is the RPC.
     client_done: Optional["Event"] = None
 
     #: Serving OSS, set at submit time (the stripe layout's choice).

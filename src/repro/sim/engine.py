@@ -42,10 +42,24 @@ event, and :meth:`Environment.step` runs one member per call.  The
 ``(time, priority, seq)`` order of the work is unchanged; only the number
 of calendar entries is (see docs/performance.md §"Adjacent slots share one
 entry").
+
+No collector in the loop.  :meth:`Environment.run` pauses CPython's cyclic
+garbage collector for the length of the run and restores it on exit, so
+the dispatch loop never stops for a collection that re-scans live state.
+This rests on a contract with model code: **no reference cycle per
+event**.  Per-event objects (events, RPCs, timer batches, finished
+processes) must be freed by reference counting alone — a cycle made per
+event would pile up until the run ends.  A bound method stored on
+``self`` is such a cycle, so it must be dropped when the object is done.
+``tests/sim/test_acyclic.py`` enforces the contract (zero cyclic garbage
+after every pinned configuration), and the ``collector-owned-by-engine``
+lint rule keeps this module the collector's only owner (see
+docs/performance.md §"No cycles, no collector in the loop").
 """
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -65,6 +79,8 @@ PRIORITY_NORMAL = 1
 #: cover every concurrently pending timeout of a large cluster while keeping
 #: a drained environment's footprint bounded.
 _FREE_LIST_CAP = 4096
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -239,8 +255,10 @@ class Environment:
         """
         free = self._free_timeouts
         if free:
-            if not delay >= 0:  # also rejects NaN
-                raise ValueError(f"negative timeout delay: {delay!r}")
+            if not 0 <= delay < _INF:  # also rejects NaN
+                raise ValueError(
+                    f"timeout delay must be >= 0 and finite, got {delay!r}"
+                )
             timeout = free.pop()
             timeout._value = value
             timeout._defused = False
@@ -284,8 +302,8 @@ class Environment:
         Adjacent hops (and relays) share one carrier entry; a hop that
         starts a run opens one.
         """
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"negative hop delay: {delay!r}")
+        if not 0 <= delay < _INF:  # also rejects NaN
+            raise ValueError(f"hop delay must be >= 0 and finite, got {delay!r}")
         at = self._now + delay
         carrier = self._relay_carrier
         if carrier is None or self._eid != self._relay_eid or at != self._relay_at:
@@ -453,6 +471,10 @@ class Environment:
         held in locals.  Each loop preserves the exact ``(time, priority,
         seq)`` total order and the exact per-event semantics of
         :meth:`step`.  Traced runs take :meth:`_run_traced` instead.
+
+        The cyclic garbage collector is paused for the run and re-enabled
+        on every exit, a raising callback included; a collector the caller
+        already disabled stays disabled.  :meth:`step` leaves it alone.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -474,13 +496,25 @@ class Environment:
 
         if stop_event is not None:
             self._stop = stop_event
-        if self.trace is not None:
-            # Traced runs take the readable one-event-at-a-time path.
-            try:
+        # Model code keeps per-event objects acyclic, so reference counting
+        # frees them; the cyclic collector would only re-scan live state.
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
+        try:
+            if self.trace is not None:
+                # Traced runs take the readable one-event-at-a-time path.
                 return self._run_traced(stop_at, stop_event)
-            finally:
-                self._stop = _NO_STOP
+            return self._run_untraced(stop_at, stop_event)
+        finally:
+            self._stop = _NO_STOP
+            if collecting:
+                gc.enable()
 
+    def _run_untraced(
+        self, stop_at: Optional[float], stop_event: Optional[Event]
+    ) -> Any:
+        """The three specialized dispatch loops of :meth:`run`."""
         queue = self._queue
         pop = heappop
         reuse = self._reuse_timeouts
@@ -603,7 +637,6 @@ class Environment:
                         free.append(event)
         finally:
             self._dispatched = dispatched
-            self._stop = _NO_STOP
 
         return _finish_run(stop_event)
 

@@ -57,6 +57,8 @@ _PENDING = object()
 #: literal here so the Timeout fast path needs no cross-module import).
 _PRIORITY_NORMAL = 1
 
+_INF = float("inf")
+
 
 class Interrupt(Exception):
     """Raised inside a process that another process interrupted.
@@ -204,8 +206,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not 0 <= delay < _INF:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0 and finite, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value

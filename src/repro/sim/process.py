@@ -11,6 +11,12 @@ every event a process waits on), so it caches the generator's bound
 ``send``/``throw`` and its own bound callback once at construction and
 registers waits by appending to the target's callback list directly instead
 of re-deriving bound methods per yield.
+
+That cached bound method references the process itself, a reference cycle
+that reference counting cannot free.  The run loop pauses the cyclic
+collector (docs/performance.md §"No cycles, no collector in the loop"), so
+a process drops it as soon as it finishes or is killed: a finished process
+is then freed like any other event.
 """
 
 from __future__ import annotations
@@ -120,6 +126,7 @@ class Process(Event):
         self._target = None
         self._generator.close()
         self.succeed(None)
+        del self._resume_cb  # a bound method on self: a self-cycle
 
     # -- engine plumbing ------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -175,6 +182,7 @@ class Process(Event):
             self.fail(error)
         else:
             self.succeed(value)
+        del self._resume_cb  # a bound method on self: a self-cycle
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "finished" if self.triggered else "alive"

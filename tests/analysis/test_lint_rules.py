@@ -29,6 +29,10 @@ EXPECTATIONS = {
         "src/repro/lustre/calendar_seam.py",
         [("calendar-seam-only", 7, 5)],
     ),
+    "collector_owner.py": (
+        "benchmarks/collector_owner.py",
+        [("collector-owned-by-engine", 7, 5)],
+    ),
     "dict_order.py": (
         "src/repro/metrics/dict_order.py",
         [("no-dict-order-leak", 5, 17)],

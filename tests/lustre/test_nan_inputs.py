@@ -1,13 +1,14 @@
 """NaN (and, where the value must be finite, infinity) is refused at every
-lustre entry point that takes a rate, a delay, a bandwidth or a size, and
-at the throughput timeline.
+lustre entry point that takes a rate, a delay, a bandwidth or a size, at
+the throughput timeline, and at the kernel's delay entry points.
 
 A NaN rate yields NaN token deadlines, which compare false against
 everything and silently corrupt the TBF deadline heap; a NaN latency or
 overhead yields NaN event times.  A NaN transfer size dies later inside the
 OST's completion check, and an infinite one never completes.  Each
 validator uses the ``not x >= 0`` / ``not 0 < x < inf`` form, which rejects
-NaN as well as negatives.
+NaN as well as negatives.  An infinite timeout or hop delay would let a
+plain ``run()`` move the clock to ``inf`` and run the callback there.
 """
 
 import math
@@ -19,6 +20,7 @@ from repro.lustre.bucket import TokenBucket
 from repro.lustre.tbf import TbfRule, TbfScheduler
 from repro.metrics.timeline import Timeline
 from repro.sim import Environment
+from repro.sim.events import Timeout
 
 NAN = float("nan")
 
@@ -58,6 +60,20 @@ def _io_handle(**kwargs):
     IoHandle(env, Network(env), oss, "job1", "c0", **kwargs)
 
 
+def _io_stream(method, nbytes):
+    env = Environment()
+    oss = Oss(env, Ost(env, "o", 1e9), FifoPolicy(env))
+    io = IoHandle(env, Network(env), oss, "job1", "c0")
+    next(getattr(io, method)(nbytes))
+
+
+def _recycled_timeout(delay):
+    env = Environment()
+    env.timeout(0.0)
+    env.run()  # the dispatched timeout goes to the free list
+    env.timeout(delay)
+
+
 #: Entry point → callable taking the bad value.
 ENTRY_POINTS = {
     "TokenBucket.rate": lambda x: TokenBucket(x),
@@ -77,6 +93,12 @@ ENTRY_POINTS = {
     "Rpc.size_bytes": lambda x: Rpc("job1", "c0", size_bytes=x),
     "IoHandle.rpc_size": lambda x: _io_handle(rpc_size=x),
     "IoHandle.window": lambda x: _io_handle(window=x),
+    "IoHandle.write": lambda x: _io_stream("write", x),
+    "IoHandle.read": lambda x: _io_stream("read", x),
+    "Environment.timeout": lambda x: Environment().timeout(x),
+    "Environment.timeout.recycled": _recycled_timeout,
+    "Timeout.delay": lambda x: Timeout(Environment(), x),
+    "Environment.hop": lambda x: Environment().hop(x, print, None),
     "Timeline.bin_s": lambda x: Timeline(bin_s=x),
     "Timeline.record": lambda x: Timeline().record("job1", 0.0, x),
 }
@@ -88,6 +110,12 @@ FINITE_ONLY = {
     "Ost.transfer",
     "Rpc.size_bytes",
     "IoHandle.rpc_size",
+    "IoHandle.write",
+    "IoHandle.read",
+    "Environment.timeout",
+    "Environment.timeout.recycled",
+    "Timeout.delay",
+    "Environment.hop",
     "Timeline.bin_s",
     "Timeline.record",
 }

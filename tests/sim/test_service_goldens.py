@@ -9,7 +9,10 @@ move under such a change:
   (``job``, ``client``, ``submitted``, ``arrived``, ``dequeued``,
   ``completed``, ``via_fallback``) in completion order, collected through
   :meth:`repro.lustre.oss.Oss.on_complete`, plus the run summary;
-* the ``export_all`` CSVs of fig3, fig5 and fig7 at ``bench_scale()``;
+* the ``export_all`` CSVs of fig3, fig5 and fig7 at ``bench_scale()``,
+  and fig9's sweep at ``bench_scale()``: fig9 exports no ``export_all``
+  CSVs (it reports one aggregate per allocation period), so its golden is
+  the ``rows.json`` and ``rows.csv`` its ``freq-sweep`` campaign writes;
 * ``rows.json`` of the ``chaos-shootout`` and ``decentralization-tax``
   campaigns at one and at two workers;
 * seeded rule-churn stacks: one OSS whose TBF rules are started, stopped
@@ -34,7 +37,7 @@ from test_dispatch_goldens import SCENARIO_CASES
 from repro.campaigns import CAMPAIGNS, run_campaign, write_artifacts
 from repro.cluster.builder import build
 from repro.cluster.experiment import execute
-from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8
+from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9
 from repro.experiments.common import bench_scale
 from repro.lustre import ClientProcess, Network, Oss, Ost, TbfPolicy
 from repro.lustre.tbf import TbfRule
@@ -90,6 +93,15 @@ def figure_digests(module, prefix, directory):
     }
 
 
+def fig9_digests(directory):
+    """File name → SHA-256 of the artifacts of fig9's sweep campaign."""
+    paths = write_artifacts(run_campaign(fig9.campaign(bench_scale())), directory)
+    return {
+        paths[key].name: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+        for key in ("rows", "csv")
+    }
+
+
 def campaign_rows_digest(name, jobs, directory):
     """SHA-256 of a built-in campaign's ``rows.json``."""
     result = run_campaign(CAMPAIGNS.build(name), jobs=jobs)
@@ -97,8 +109,9 @@ def campaign_rows_digest(name, jobs, directory):
     return hashlib.sha256(paths["rows"].read_bytes()).hexdigest()
 
 
-def churn_digest(seed, crash):
-    """SHA-256 over the service records of one seeded rule-churn stack."""
+def churn_run(seed, crash):
+    """Run one seeded rule-churn stack; returns its service records and
+    the stack (environment, OSS, network, clients), still alive."""
     rng = random.Random(seed)
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=rng.choice([50, 200, 800]) * MB)
@@ -112,6 +125,7 @@ def churn_digest(seed, crash):
         )
     )
     jobs = [f"j{k}" for k in range(4)]
+    clients = []
 
     def program(io, n, think):
         for _ in range(n):
@@ -122,7 +136,7 @@ def churn_digest(seed, crash):
     for job in jobs:
         for c in range(rng.randint(1, 3)):
             n, think = rng.randint(5, 40), rng.choice([0.0, 0.001, 0.01])
-            ClientProcess(
+            client = ClientProcess(
                 env,
                 net,
                 oss,
@@ -131,6 +145,7 @@ def churn_digest(seed, crash):
                 lambda io, n=n, think=think: program(io, n, think),
                 window=rng.choice([1, 2, 8]),
             )
+            clients.append(client)
 
     def churn():
         live = set()
@@ -159,6 +174,12 @@ def churn_digest(seed, crash):
     if crash:
         env.process(crasher())
     env.run(until=3.0)
+    return records, (env, oss, net, clients)
+
+
+def churn_digest(seed, crash):
+    """SHA-256 over the service records of one seeded rule-churn stack."""
+    records, (_env, oss, _net, _clients) = churn_run(seed, crash)
     payload = [records, oss.rpcs_retried, oss.rpcs_dropped]
     return len(records), hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
@@ -374,6 +395,12 @@ FIGURE_GOLDENS = {
     },
 }
 
+#: fig9's sweep at ``bench_scale()``: artifact name → SHA-256.
+FIG9_GOLDENS = {
+    "rows.json": "6ebe66f8c99469d78fb57e2f7648a75933a1941fc724b734a495ccc12ec7dc10",
+    "rows.csv": "0c7711553e6495c5f5c6ef8f6187a7c6eadbc4031665676d0b5dc89a29a27953",
+}
+
 #: Campaign → SHA-256 of ``rows.json`` (identical for every worker count).
 CAMPAIGN_GOLDENS = {
     "chaos-shootout": (
@@ -437,6 +464,11 @@ def test_figure_csvs_match_golden(figure, tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FULL", raising=False)
     digests = figure_digests(FIGURES[figure], figure, tmp_path)
     assert digests == FIGURE_GOLDENS[figure]
+
+
+def test_fig9_sweep_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    assert fig9_digests(tmp_path) == FIG9_GOLDENS
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
