@@ -19,23 +19,19 @@ Expected ordering (asserted):
   its cost shows in the records, which drift without bound.
 """
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_scenario
 from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import scenario_redistribution
+from repro.scenarios import REGISTRY, run_scenario
 
 VARIANT_NAMES = ("full", "priority_only", "no_recompensation", "priority_blind_df")
 
 
 def run_ablation():
-    cfg = bench_scale()
-    results = {}
-    for variant in VARIANT_NAMES:
-        scenario = scenario_redistribution(cfg)
-        config = ClusterConfig(mechanism="adaptbf", variant=variant)
-        results[variant] = run_scenario(scenario, config)
-    return results
+    spec = REGISTRY.build("redistribution", mechanism="adaptbf", **bench_scale())
+    return {
+        variant: run_scenario(spec.with_policy(variant=variant))
+        for variant in VARIANT_NAMES
+    }
 
 
 def test_ablation_variants(benchmark, print_report):

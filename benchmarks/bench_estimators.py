@@ -8,8 +8,6 @@ re-compensation step generated.  Estimator choice shifts *when* tokens are
 clawed back, not the ledger's zero-sum accounting.
 """
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_scenario
 from repro.core.allocation import TokenAllocationAlgorithm
 from repro.core.prediction import (
     EwmaEstimator,
@@ -18,7 +16,7 @@ from repro.core.prediction import (
 )
 from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import scenario_recompensation
+from repro.scenarios import REGISTRY, run_scenario
 
 ESTIMATORS = {
     "last_value (paper)": LastValueEstimator,
@@ -28,13 +26,11 @@ ESTIMATORS = {
 
 
 def run_comparison():
-    cfg = bench_scale()
+    spec = REGISTRY.build("recompensation", mechanism="adaptbf", **bench_scale())
     results = {}
     for name, estimator_factory in ESTIMATORS.items():
-        scenario = scenario_recompensation(cfg)
         result = run_scenario(
-            scenario,
-            ClusterConfig(mechanism="adaptbf"),
+            spec,
             algorithm_factory=lambda f=estimator_factory: TokenAllocationAlgorithm(
                 demand_estimator=f()
             ),

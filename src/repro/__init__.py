@@ -12,10 +12,11 @@ Dai, IPPS 2025).  The package layers:
   and rule daemon) plus the paper's baselines, ablations and the pluggable
   bandwidth-mechanism protocol/registry (``MECHANISMS``) every contender —
   including the EWMA-prediction and PID additions — resolves through;
-* :mod:`repro.workloads` — Filebench-style synthetic workloads: the three
-  §IV scenarios plus new job mixes (burst storms, elastic churn);
+* :mod:`repro.workloads` — Filebench-style synthetic and trace-driven
+  workload patterns (the demand axis);
 * :mod:`repro.scenarios` — the declarative pipeline: frozen ``ScenarioSpec``
-  family, named scenario registry, and the ``run_scenario(spec)`` entry
+  family, named scenario registry (the three §IV job mixes plus new ones:
+  burst storms, elastic churn, ...), and the ``run_scenario(spec)`` entry
   point everything executes through;
 * :mod:`repro.cluster` — spec materialization (``build(spec)``) and the
   experiment executor;
@@ -30,18 +31,11 @@ Quickstart
 >>> result.summary.aggregate_mib_s > 0
 True
 
-``repro.run_scenario`` is the pipeline entry point (takes a
-``ScenarioSpec``); the pre-pipeline runner taking a legacy ``Scenario`` +
-``ClusterConfig`` remains available as ``repro.cluster.run_scenario``.
+Variations are functional updates of a built spec, e.g.
+``spec.with_topology(n_osts=4).with_policy(mechanism="static")``.
 """
 
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    ExperimentResult,
-    build_cluster,
-    run_experiment,
-)
+from repro.cluster import ClusterTopology, ExperimentResult, build, execute
 from repro.core import MECHANISMS, AdapTbf, BandwidthMechanism, TokenAllocationAlgorithm
 from repro.scenarios import (
     REGISTRY,
@@ -63,12 +57,11 @@ __all__ = [
     "RunSpec",
     "ScenarioSpec",
     "TopologySpec",
-    "Cluster",
-    "ClusterConfig",
+    "ClusterTopology",
     "ExperimentResult",
     "TokenAllocationAlgorithm",
-    "build_cluster",
-    "run_experiment",
+    "build",
+    "execute",
     "run_scenario",
     "__version__",
 ]

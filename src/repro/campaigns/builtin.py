@@ -39,8 +39,8 @@ from repro.campaigns.spec import CampaignSpec, ParameterAxis
 from repro.core.mechanism import MECHANISMS
 from repro.experiments.fig9 import PAPER_INTERVALS_S
 from repro.registry import normalize_name
+from repro.scenarios.builtin import BENCH_SCALE
 from repro.workloads.registry import WORKLOADS
-from repro.workloads.scenarios import BENCH_SCALE
 
 __all__ = ["CAMPAIGNS"]
 

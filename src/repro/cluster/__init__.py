@@ -5,35 +5,15 @@
 OSS/OST with the chosen bandwidth-control mechanism
 (``build(spec) → ClusterTopology``); :mod:`repro.cluster.experiment`
 executes a built topology and collects the timelines and summaries the
-paper's figures are built from.
-
-The flat ``ClusterConfig`` + ``build_cluster`` / ``run_experiment``
-surface predates the declarative pipeline and remains supported for
-hand-assembled experiments.
+paper's figures are built from (``execute(cluster) → ExperimentResult``).
 """
 
-from repro.cluster.builder import (
-    Cluster,
-    ClusterConfig,
-    ClusterTopology,
-    build,
-    build_cluster,
-)
-from repro.cluster.experiment import (
-    ExperimentResult,
-    execute,
-    run_experiment,
-    run_scenario,
-)
+from repro.cluster.builder import ClusterTopology, build
+from repro.cluster.experiment import ExperimentResult, execute
 
 __all__ = [
-    "Cluster",
-    "ClusterConfig",
     "ClusterTopology",
     "ExperimentResult",
     "build",
-    "build_cluster",
     "execute",
-    "run_experiment",
-    "run_scenario",
 ]

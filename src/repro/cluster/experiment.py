@@ -11,33 +11,29 @@ Which of those are actually collected follows the spec's
 :class:`~repro.scenarios.spec.RunSpec.metrics`; sweeps that only need
 completion times can skip per-RPC timeline recording entirely.
 
-:func:`run_experiment` / :func:`run_scenario` are the pre-pipeline entry
-points (flat config + job list / legacy ``Scenario``), kept as thin shims.
-New code should use :func:`repro.scenarios.run_scenario`.
+:func:`repro.scenarios.run_scenario` chains :func:`~repro.cluster.builder.build`
+and :func:`execute` for callers that need no handle on the built cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
 
-from repro.cluster.builder import ClusterConfig, ClusterTopology, build
+from repro.cluster.builder import ClusterTopology
 from repro.core.types import AllocationRound
 from repro.metrics.summary import BandwidthSummary, summarize
 from repro.metrics.timeline import Timeline
-from repro.workloads.spec import JobSpec
+from repro.scenarios.spec import ScenarioSpec
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenarios.spec import ScenarioSpec
-    from repro.workloads.scenarios import Scenario
-
-__all__ = ["ExperimentResult", "execute", "run_experiment", "run_scenario"]
+__all__ = ["ExperimentResult", "execute"]
 
 
 @dataclass
 class ExperimentResult:
-    """Everything measured in one run."""
+    """Everything measured in one run, and the spec that produced it."""
 
+    spec: ScenarioSpec
     mechanism: str
     duration_s: float
     timeline: Timeline
@@ -129,6 +125,7 @@ def execute(cluster: ClusterTopology) -> ExperimentResult:
         else 0.0
     )
     return ExperimentResult(
+        spec=spec,
         mechanism=spec.policy.mechanism,
         duration_s=duration,
         timeline=timeline,
@@ -140,34 +137,3 @@ def execute(cluster: ClusterTopology) -> ExperimentResult:
         per_ost_histories=histories,
     )
 
-
-def run_experiment(
-    config: ClusterConfig,
-    jobs: List[JobSpec],
-    duration_s: Optional[float] = None,
-    bin_s: float = 0.1,
-    algorithm_factory=None,
-) -> ExperimentResult:
-    """Run ``jobs`` under a flat :class:`ClusterConfig` (pre-pipeline shim).
-
-    ``algorithm_factory`` optionally overrides the AdapTBF algorithm
-    construction (see :func:`~repro.cluster.builder.build`).
-    """
-    spec = config.to_spec(jobs, duration_s=duration_s, bin_s=bin_s)
-    return execute(build(spec, algorithm_factory=algorithm_factory))
-
-
-def run_scenario(
-    scenario: "Scenario",
-    config: ClusterConfig,
-    bin_s: float = 0.1,
-    algorithm_factory=None,
-) -> ExperimentResult:
-    """Run a legacy :class:`~repro.workloads.scenarios.Scenario` job mix."""
-    return run_experiment(
-        config,
-        scenario.jobs,
-        duration_s=scenario.duration_s,
-        bin_s=bin_s,
-        algorithm_factory=algorithm_factory,
-    )

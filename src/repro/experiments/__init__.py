@@ -17,25 +17,23 @@ Module                          Paper artefact
 ==============================  ==============================================
 
 Every adapter is a thin layer over the declarative scenario pipeline
-(:mod:`repro.scenarios`): the workload is lifted into a ``ScenarioSpec``
-and executed once per mechanism via ``run_mechanisms``.  The unified CLI —
+(:mod:`repro.scenarios`): it builds its registered scenario with
+``REGISTRY.build(name, **scale)`` and executes it once per mechanism via
+``run_mechanisms``.  The unified CLI —
 ``python -m repro.experiments run <scenario|figN> / list / describe`` —
 reaches both the figure adapters and every registered scenario.
 
-Scale: by default experiments run a reduced configuration (≈1/16 data,
-≈1/10 time) that finishes in seconds and preserves every qualitative shape;
+Scale: by default experiments run a reduced configuration (1/10 data,
+1/10 time; :func:`~repro.experiments.common.bench_scale`) that finishes in
+seconds and preserves every qualitative shape;
 set ``REPRO_FULL=1`` (or pass ``--full``) to run the paper's full-size
 configuration.
 """
 
-from repro.experiments.common import (
-    MechanismComparison,
-    bench_scale,
-    compare_mechanisms,
-)
+from repro.experiments.common import MechanismComparison, bench_scale, full_scale
 
 __all__ = [
     "MechanismComparison",
     "bench_scale",
-    "compare_mechanisms",
+    "full_scale",
 ]

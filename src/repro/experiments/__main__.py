@@ -41,6 +41,10 @@ checks for that figure; the bare legacy form
 up in the scenario registry, built with ``--param k=v`` overrides, and run
 through the declarative pipeline.
 
+The ``list``/``describe`` subcommands of the campaign, mechanism,
+workload and fault axes are generated from one table (:data:`AXES`) over
+the shared :class:`~repro.registry.FactoryRegistry` instances.
+
 Exit status is non-zero if any figure shape check fails, so the runner
 doubles as a reproduction gate in CI.
 """
@@ -48,8 +52,11 @@ doubles as a reproduction gate in CI.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.cli import add_lint_subparser
 from repro.campaigns import (
@@ -66,7 +73,7 @@ from repro.campaigns import (
 )
 from repro.core.mechanism import MECHANISMS
 from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9, overhead
-from repro.experiments.common import bench_scale, full_scale
+from repro.experiments.common import MechanismComparison, bench_scale, full_scale
 from repro.faults import FAULTS
 from repro.metrics.export import export_all
 from repro.metrics.report import (
@@ -76,9 +83,9 @@ from repro.metrics.report import (
     format_mechanism_table,
     format_run_report,
 )
+from repro.registry import FactoryRegistry, normalize_name
 from repro.scenarios import REGISTRY, run_scenario
 from repro.workloads.registry import WORKLOADS
-from repro.workloads.scenarios import ScenarioConfig
 
 #: Figure name → (adapter module, registered scenario the workload comes from).
 FIGURE_ADAPTERS = {
@@ -91,7 +98,7 @@ FIGURE_ADAPTERS = {
     "fig9": (fig9, "recompensation"),
 }
 
-#: ScenarioConfig fields figure adapters accept via --param.
+#: Registered-scenario parameters figure adapters accept via --param.
 FIGURE_SCALE_PARAMS = ("data_scale", "time_scale", "heavy_procs", "window")
 
 LEGACY_COMMANDS = set(FIGURE_ADAPTERS) | {"overhead", "all"}
@@ -107,45 +114,48 @@ def _split_params(pairs: Optional[List[str]]) -> Dict[str, str]:
     return params
 
 
-def _figure_scale(args, params: Dict[str, str]) -> ScenarioConfig:
-    base = full_scale() if args.full else bench_scale()
-    overrides = {}
-    for key in FIGURE_SCALE_PARAMS:
-        if key in params:
-            default = getattr(base, key)
-            raw = params.pop(key)
-            try:
-                overrides[key] = type(default)(raw)
-            except ValueError:
-                raise SystemExit(
-                    f"parameter {key!r}: expected {type(default).__name__}, "
-                    f"got {raw!r}"
-                ) from None
-    if params:
+@contextmanager
+def _one_line_errors():
+    """Turn a registry/spec ``KeyError``/``ValueError`` into a one-line exit."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        # KeyError's str() wraps the message in repr quotes; unwrap it.
+        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
+
+
+def _figure_scale(name: str, args, params: Dict[str, str]) -> Dict[str, Any]:
+    """The scale overrides the figure(s) ``name`` run with, validated now.
+
+    Values are coerced against the registered scenarios' schemas and the
+    specs built once, so a bad value exits with one line before any
+    simulation starts.
+    """
+    unknown = sorted(set(params) - set(FIGURE_SCALE_PARAMS))
+    if unknown:
         raise SystemExit(
             f"figure adapters accept only {FIGURE_SCALE_PARAMS} as --param; "
-            f"got {sorted(params)}"
+            f"got {unknown}"
         )
-    if not overrides:
-        return base
-    import dataclasses
-
-    return dataclasses.replace(base, **overrides)
+    if name == "all":
+        scenarios = sorted({scenario for _, scenario in FIGURE_ADAPTERS.values()})
+    else:
+        scenarios = [FIGURE_ADAPTERS[name][1]]
+    scale = full_scale() if args.full else bench_scale()
+    with _one_line_errors():
+        scale.update(REGISTRY.coerce(scenarios[0], params))
+        for scenario in scenarios:
+            REGISTRY.build(scenario, **scale)
+    return scale
 
 
 def _run_figure(name: str, module, scale, csv_dir) -> bool:
-    comparison = module.run(scale)
-    print(module.report(comparison))
-    if csv_dir:
-        written = export_all(comparison.results, csv_dir, prefix=name)
+    outcome = module.run(scale)
+    print(module.report(outcome))
+    if csv_dir and isinstance(outcome, MechanismComparison):
+        written = export_all(outcome.results, csv_dir, prefix=name)
         print(f"\nCSV written: {', '.join(str(p) for p in written.values())}")
-    return all(check.passed for check in module.check_shapes(comparison))
-
-
-def _run_fig9(scale, csv_dir) -> bool:
-    sweep = fig9.run(scale)
-    print(fig9.report(sweep))
-    return all(check.passed for check in fig9.check_shapes(sweep))
+    return all(check.passed for check in module.check_shapes(outcome))
 
 
 def _run_overhead() -> bool:
@@ -171,35 +181,31 @@ def _run_figures(name: str, args, params: Dict[str, str]) -> bool:
             "workload and duration under all three mechanisms (scale them "
             "with --param time_scale=...)"
         )
-    if name == "overhead" and (args.full or params):
-        raise SystemExit(
-            "overhead times the allocation algorithm directly and takes "
-            "no --full or --param options"
-        )
-    scale = _figure_scale(args, params)
+    if name == "overhead":
+        if args.full or params:
+            raise SystemExit(
+                "overhead times the allocation algorithm directly and takes "
+                "no --full or --param options"
+            )
+        return _run_overhead()
+    scale = _figure_scale(name, args, params)
     if name == "all":
         ok = True
         seen = []
         for fig_name, (module, _) in FIGURE_ADAPTERS.items():
-            if module is fig9 or module in seen:
+            if module in seen:
                 continue
             seen.append(module)
             ok &= _run_figure(fig_name, module, scale, args.csv)
             print()
-        ok &= _run_fig9(scale, args.csv)
-        print()
         ok &= _run_overhead()
         return ok
-    if name == "fig9":
-        return _run_fig9(scale, args.csv)
-    if name == "overhead":
-        return _run_overhead()
     module, _ = FIGURE_ADAPTERS[name]
     return _run_figure(name, module, scale, args.csv)
 
 
 def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
-    try:
+    with _one_line_errors():
         spec = REGISTRY.build(name, **REGISTRY.coerce(name, params))
         if args.duration is not None:
             spec = spec.with_run(duration_s=args.duration)
@@ -245,9 +251,6 @@ def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
             raise SystemExit(
                 "--fault-param requires --fault NAME (see `fault list`)"
             )
-    except (KeyError, ValueError) as exc:
-        # KeyError's str() wraps the message in repr quotes; unwrap it.
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
     result = run_scenario(spec)
     print(format_run_report(result))
     if args.csv:
@@ -259,7 +262,7 @@ def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
 
 
 def _cmd_run(args) -> int:
-    name = args.scenario.lower().replace("_", "-")
+    name = normalize_name(args.scenario)
     params = _split_params(args.param)
     if name.replace("-", "") in LEGACY_COMMANDS:
         ok = _run_figures(name.replace("-", ""), args, params)
@@ -357,12 +360,10 @@ def _drive_campaign(campaign, args, store, resume: bool) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    name = args.campaign.lower().replace("_", "-")
+    name = normalize_name(args.campaign)
     params = _split_params(args.param)
-    try:
+    with _one_line_errors():
         campaign = CAMPAIGNS.build(name, **CAMPAIGNS.coerce(name, params))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store PATH")
     store = None
@@ -411,99 +412,97 @@ def _cmd_campaign_resume(args) -> int:
         store.close()
 
 
-def _cmd_campaign_list(_args) -> int:
-    print("registered campaigns (parameter sweeps through the engine):")
-    for name in CAMPAIGNS.names():
-        entry = CAMPAIGNS.get(name)
-        campaign = entry.build()
-        print(
-            f"  {name:18s} {entry.description} "
-            f"[{campaign.n_cells} cells over {campaign.scenario!r}]"
-        )
-    print()
-    print(
-        "run with: python -m repro.experiments campaign run <name> "
-        "--jobs N [--param k=v ...] [--out DIR]"
-    )
-    return 0
+def _no_detail(entry) -> str:
+    return ""
 
 
-def _cmd_campaign_describe(args) -> int:
-    name = args.campaign.lower().replace("_", "-")
-    try:
-        print(CAMPAIGNS.describe(name))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
+@dataclass(frozen=True)
+class CliAxis:
+    """One registry axis of the CLI: its ``list`` and ``describe`` commands."""
+
+    command: str
+    registry: FactoryRegistry
+    help: str
+    #: Plural noun in the top-level ``list`` ("registered <title> ...").
+    title: str
+    #: First line of ``<command> list``.
+    heading: str
+    #: Closing usage lines of ``<command> list``.
+    usage: str
+    #: Extra text after an entry's description in ``<command> list``.
+    detail: Callable[[Any], str] = _no_detail
 
 
-def _cmd_mechanism_list(_args) -> int:
-    print("registered bandwidth mechanisms (select with --mechanism):")
-    for name in MECHANISMS.names():
-        entry = MECHANISMS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
+def _campaign_detail(entry) -> str:
+    campaign = entry.build()
+    return f" [{campaign.n_cells} cells over {campaign.scenario!r}]"
+
+
+#: The registry axes with generated ``list``/``describe`` commands.
+AXES = (
+    CliAxis(
+        "campaign",
+        CAMPAIGNS,
+        help="declarative parameter sweeps (campaign engine)",
+        title="campaigns",
+        heading="registered campaigns (parameter sweeps through the engine):",
+        usage="run with: python -m repro.experiments campaign run <name> "
+        "--jobs N [--param k=v ...] [--out DIR]",
+        detail=_campaign_detail,
+    ),
+    CliAxis(
+        "mechanism",
+        MECHANISMS,
+        help="pluggable bandwidth-control mechanisms",
+        title="mechanisms",
+        heading="registered bandwidth mechanisms (select with --mechanism):",
+        usage="run with:   python -m repro.experiments run <scenario> "
         "--mechanism <name> [--mechanism-param k=v ...]\n"
         "sweep with: python -m repro.experiments campaign run "
-        "mechanism-shootout [--param mechanisms=a,b ...]"
-    )
-    return 0
-
-
-def _cmd_mechanism_describe(args) -> int:
-    try:
-        # The registry normalizes names itself (repro.registry.normalize_name).
-        print(MECHANISMS.describe(args.mechanism))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
-
-
-def _cmd_workload_list(_args) -> int:
-    print("registered workload patterns (select with --workload):")
-    for name in WORKLOADS.names():
-        entry = WORKLOADS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
+        "mechanism-shootout [--param mechanisms=a,b ...]",
+    ),
+    CliAxis(
+        "workload",
+        WORKLOADS,
+        help="pluggable workload patterns (the demand axis)",
+        title="workload patterns",
+        heading="registered workload patterns (select with --workload):",
+        usage="run with:   python -m repro.experiments run <scenario> "
         "--workload <name> [--workload-param k=v ...]\n"
         "sweep with: python -m repro.experiments campaign run "
-        "workload-shootout [--param workloads=a,b ...]"
-    )
-    return 0
-
-
-def _cmd_workload_describe(args) -> int:
-    try:
-        print(WORKLOADS.describe(args.workload))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
-
-
-def _cmd_fault_list(_args) -> int:
-    print("registered fault injectors (select with --fault):")
-    for name in FAULTS.names():
-        entry = FAULTS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
+        "workload-shootout [--param workloads=a,b ...]",
+    ),
+    CliAxis(
+        "fault",
+        FAULTS,
+        help="pluggable fault injectors (the disturbance axis)",
+        title="fault injectors",
+        heading="registered fault injectors (select with --fault):",
+        usage="run with:   python -m repro.experiments run <scenario> "
         "--fault <name> [--fault-param k=v ...]\n"
         "sweep with: python -m repro.experiments campaign run "
-        "chaos-shootout [--param fault=<name> ...]"
-    )
+        "chaos-shootout [--param fault=<name> ...]",
+    ),
+)
+
+
+def _print_entries(registry: FactoryRegistry, detail=_no_detail) -> None:
+    for name in registry.names():
+        entry = registry.get(name)
+        print(f"  {name:18s} {entry.description}{detail(entry)}")
+
+
+def _cmd_axis_list(axis: CliAxis, _args) -> int:
+    print(axis.heading)
+    _print_entries(axis.registry, axis.detail)
+    print()
+    print(axis.usage)
     return 0
 
 
-def _cmd_fault_describe(args) -> int:
-    try:
-        print(FAULTS.describe(args.fault))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
+def _cmd_axis_describe(axis: CliAxis, args) -> int:
+    with _one_line_errors():
+        print(axis.registry.describe(normalize_name(args.name)))
     return 0
 
 
@@ -520,29 +519,11 @@ def _cmd_list(_args) -> int:
     print(f"  {'all':18s} every figure adapter in order")
     print()
     print("registered scenarios (single run through the pipeline):")
-    for name in REGISTRY.names():
-        entry = REGISTRY.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered campaigns (see `campaign list`):")
-    for name in CAMPAIGNS.names():
-        entry = CAMPAIGNS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered mechanisms (see `mechanism list`):")
-    for name in MECHANISMS.names():
-        entry = MECHANISMS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered workload patterns (see `workload list`):")
-    for name in WORKLOADS.names():
-        entry = WORKLOADS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered fault injectors (see `fault list`):")
-    for name in FAULTS.names():
-        entry = FAULTS.get(name)
-        print(f"  {name:18s} {entry.description}")
+    _print_entries(REGISTRY)
+    for axis in AXES:
+        print()
+        print(f"registered {axis.title} (see `{axis.command} list`):")
+        _print_entries(axis.registry)
     print()
     print(
         "run with: python -m repro.experiments run <name> [--param k=v ...]"
@@ -551,7 +532,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    name = args.scenario.lower().replace("_", "-")
+    name = normalize_name(args.scenario)
     fig_key = name.replace("-", "")
     if fig_key in FIGURE_ADAPTERS:
         module, scenario = FIGURE_ADAPTERS[fig_key]
@@ -570,10 +551,8 @@ def _cmd_describe(args) -> int:
     elif fig_key == "overhead":
         print((overhead.__doc__ or "").strip())
         return 0
-    try:
+    with _one_line_errors():
         print(REGISTRY.describe(name))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
     return 0
 
 
@@ -669,10 +648,23 @@ def main(argv=None) -> int:
     desc_p.add_argument("scenario")
     desc_p.set_defaults(handler=_cmd_describe)
 
-    camp_p = sub.add_parser(
-        "campaign", help="declarative parameter sweeps (campaign engine)"
-    )
-    camp_sub = camp_p.add_subparsers(dest="campaign_command", required=True)
+    axis_subs = {}
+    for axis in AXES:
+        axis_p = sub.add_parser(axis.command, help=axis.help)
+        axis_sub = axis_p.add_subparsers(
+            dest=f"{axis.command}_command", required=True
+        )
+        list_p = axis_sub.add_parser(
+            "list", help=f"list registered {axis.command}s"
+        )
+        list_p.set_defaults(handler=functools.partial(_cmd_axis_list, axis))
+        desc_p = axis_sub.add_parser(
+            "describe", help=f"show a {axis.command}'s parameters"
+        )
+        desc_p.add_argument("name", metavar=axis.command)
+        desc_p.set_defaults(handler=functools.partial(_cmd_axis_describe, axis))
+        axis_subs[axis.command] = axis_sub
+    camp_sub = axis_subs["campaign"]
 
     crun_p = camp_sub.add_parser("run", help="run a registered campaign")
     crun_p.add_argument("campaign", help="registered campaign name")
@@ -782,57 +774,6 @@ def main(argv=None) -> int:
         help="seconds a worker's claim on a cell stays valid without a commit",
     )
     cres_p.set_defaults(handler=_cmd_campaign_resume)
-
-    clist_p = camp_sub.add_parser("list", help="list registered campaigns")
-    clist_p.set_defaults(handler=_cmd_campaign_list)
-
-    cdesc_p = camp_sub.add_parser(
-        "describe", help="show a campaign's axes, parameters and cells"
-    )
-    cdesc_p.add_argument("campaign")
-    cdesc_p.set_defaults(handler=_cmd_campaign_describe)
-
-    mech_p = sub.add_parser(
-        "mechanism", help="pluggable bandwidth-control mechanisms"
-    )
-    mech_sub = mech_p.add_subparsers(dest="mechanism_command", required=True)
-
-    mlist_p = mech_sub.add_parser("list", help="list registered mechanisms")
-    mlist_p.set_defaults(handler=_cmd_mechanism_list)
-
-    mdesc_p = mech_sub.add_parser(
-        "describe", help="show a mechanism's parameters and behaviour"
-    )
-    mdesc_p.add_argument("mechanism")
-    mdesc_p.set_defaults(handler=_cmd_mechanism_describe)
-
-    wl_p = sub.add_parser(
-        "workload", help="pluggable workload patterns (the demand axis)"
-    )
-    wl_sub = wl_p.add_subparsers(dest="workload_command", required=True)
-
-    wlist_p = wl_sub.add_parser("list", help="list registered workloads")
-    wlist_p.set_defaults(handler=_cmd_workload_list)
-
-    wdesc_p = wl_sub.add_parser(
-        "describe", help="show a workload's parameters and behaviour"
-    )
-    wdesc_p.add_argument("workload")
-    wdesc_p.set_defaults(handler=_cmd_workload_describe)
-
-    fault_p = sub.add_parser(
-        "fault", help="pluggable fault injectors (the disturbance axis)"
-    )
-    fault_sub = fault_p.add_subparsers(dest="fault_command", required=True)
-
-    flist_p = fault_sub.add_parser("list", help="list registered faults")
-    flist_p.set_defaults(handler=_cmd_fault_list)
-
-    fdesc_p = fault_sub.add_parser(
-        "describe", help="show a fault's parameters and behaviour"
-    )
-    fdesc_p.add_argument("fault")
-    fdesc_p.set_defaults(handler=_cmd_fault_describe)
 
     add_lint_subparser(sub)
 

@@ -1,47 +1,40 @@
 """Shared plumbing for the per-figure experiment modules.
 
-Every figure adapter runs through the declarative pipeline: the workload
-(a registered scenario or a legacy job mix) is lifted into a
-:class:`~repro.scenarios.spec.ScenarioSpec` and executed once per
-mechanism via :func:`repro.scenarios.runner.run_mechanisms`.
+Every figure adapter runs through the declarative pipeline: it builds its
+registered scenario with ``REGISTRY.build(name, **scale)`` — ``scale``
+being :func:`bench_scale`, :func:`full_scale` or any mapping of that
+scenario's parameters — and executes it once per mechanism via
+:func:`repro.scenarios.runner.run_mechanisms`, collecting the results in a
+:class:`MechanismComparison`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
+from repro.cluster.experiment import ExperimentResult
 from repro.metrics.summary import BandwidthSummary, gains_versus
 from repro.metrics.tables import format_gains, format_series, format_table
-from repro.scenarios.runner import PAPER_MECHANISMS, RunResult, run_mechanisms
-from repro.scenarios.spec import (
-    PolicySpec,
-    RunSpec,
-    ScenarioSpec,
-    TopologySpec,
-    from_scenario,
-)
-from repro.workloads.scenarios import BENCH_SCALE, Scenario, ScenarioConfig
+from repro.scenarios.builtin import BENCH_SCALE
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "bench_scale",
     "full_scale",
-    "as_spec",
     "MechanismComparison",
-    "compare_mechanisms",
+    "ShapeCheck",
+    "format_shape_checks",
 ]
 
-#: The three mechanism names of §IV-C, in presentation order.
-MECHANISMS = PAPER_MECHANISMS
 
-
-def full_scale() -> ScenarioConfig:
+def full_scale() -> Dict[str, float]:
     """The paper's configuration: 1 GiB files, 20/50/80 s delays."""
-    return ScenarioConfig(data_scale=1.0, time_scale=1.0)
+    return {"data_scale": 1.0, "time_scale": 1.0}
 
 
-def bench_scale() -> ScenarioConfig:
+def bench_scale() -> Dict[str, float]:
     """Reduced configuration for benches/tests (set ``REPRO_FULL=1`` to
     run the paper-size configuration instead).
 
@@ -52,57 +45,50 @@ def bench_scale() -> ScenarioConfig:
     """
     if os.environ.get("REPRO_FULL"):
         return full_scale()
-    return ScenarioConfig(data_scale=BENCH_SCALE, time_scale=BENCH_SCALE)
+    return {"data_scale": BENCH_SCALE, "time_scale": BENCH_SCALE}
 
 
-def as_spec(
-    scenario: Union[Scenario, ScenarioSpec],
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-    overhead_s: float = 0.0,
-    variant: str = "full",
-    bin_s: Optional[float] = None,
-) -> ScenarioSpec:
-    """Lift a workload into a spec with the figure-standard knob set.
+@dataclass
+class ShapeCheck:
+    """One verified qualitative claim of a paper figure."""
 
-    A :class:`ScenarioSpec` passes through unchanged (its own topology,
-    policy and run settings win); a legacy :class:`Scenario` job mix gets
-    the single-OST topology and the given policy knobs.
-    """
-    if isinstance(scenario, ScenarioSpec):
-        return scenario
-    return from_scenario(
-        scenario,
-        topology=TopologySpec(capacity_mib_s=capacity_mib_s),
-        policy=PolicySpec(
-            interval_s=interval_s, overhead_s=overhead_s, variant=variant
-        ),
-        run=RunSpec(duration_s=scenario.duration_s, bin_s=bin_s),
-    )
+    claim: str
+    passed: bool
+    detail: str
+
+
+def format_shape_checks(checks: List[ShapeCheck]) -> List[str]:
+    """The ``Shape checks:`` block that ends every figure report."""
+    lines = ["Shape checks:"]
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        lines.append(f"  [{status}] {check.claim}")
+        lines.append(f"         {check.detail}")
+    return lines
 
 
 @dataclass
 class MechanismComparison:
     """Results of one scenario run under several mechanisms."""
 
-    scenario: Union[Scenario, ScenarioSpec]
-    results: Dict[str, RunResult]  # keyed by registered mechanism name
+    scenario: ScenarioSpec
+    results: Dict[str, ExperimentResult]  # keyed by registered mechanism name
 
     @property
-    def none(self) -> RunResult:
+    def none(self) -> ExperimentResult:
         return self.results["none"]
 
     @property
-    def static(self) -> RunResult:
+    def static(self) -> ExperimentResult:
         return self.results["static"]
 
     @property
-    def adaptbf(self) -> RunResult:
+    def adaptbf(self) -> ExperimentResult:
         return self.results["adaptbf"]
 
     @property
     def job_ids(self) -> List[str]:
-        return [job.job_id for job in self.scenario.jobs]
+        return self.scenario.job_ids
 
     # -- reporting -----------------------------------------------------------
     def bandwidth_table(self, title: str) -> str:
@@ -135,25 +121,3 @@ class MechanismComparison:
             )
         return "\n".join(blocks)
 
-
-def compare_mechanisms(
-    scenario: Union[Scenario, ScenarioSpec],
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-    overhead_s: float = 0.0,
-    variant: str = "full",
-    mechanisms=MECHANISMS,
-    bin_s: Optional[float] = None,
-) -> MechanismComparison:
-    """Run ``scenario`` under each mechanism with otherwise equal hardware."""
-    spec = as_spec(
-        scenario,
-        interval_s=interval_s,
-        capacity_mib_s=capacity_mib_s,
-        overhead_s=overhead_s,
-        variant=variant,
-        bin_s=bin_s,
-    )
-    return MechanismComparison(
-        scenario=scenario, results=run_mechanisms(spec, mechanisms)
-    )

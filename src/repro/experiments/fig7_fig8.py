@@ -22,42 +22,34 @@ the declarative pipeline (``python -m repro.experiments run fig7``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Mapping, Optional
 
 import numpy as np
 
 from repro.experiments.common import (
     MechanismComparison,
+    ShapeCheck,
     bench_scale,
-    compare_mechanisms,
+    format_shape_checks,
 )
 from repro.metrics.summary import gains_versus
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import ScenarioConfig, scenario_recompensation
+from repro.scenarios import REGISTRY
+from repro.scenarios.runner import run_mechanisms
 
 __all__ = ["run", "report", "check_shapes", "record_summary"]
 
 
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
+def run(scale: Optional[Mapping[str, Any]] = None) -> MechanismComparison:
+    """Run the §IV-F experiment under all three mechanisms.
 
-
-def run(
-    scenario_cfg: Optional[ScenarioConfig] = None,
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-) -> MechanismComparison:
-    """Run the §IV-F experiment under all three mechanisms."""
-    cfg = scenario_cfg or bench_scale()
-    return compare_mechanisms(
-        scenario_recompensation(cfg),
-        interval_s=interval_s,
-        capacity_mib_s=capacity_mib_s,
-    )
+    ``scale`` overrides parameters of the registered ``recompensation``
+    scenario (default: :func:`~repro.experiments.common.bench_scale`).
+    """
+    if scale is None:
+        scale = bench_scale()
+    spec = REGISTRY.build("recompensation", **scale)
+    return MechanismComparison(spec, run_mechanisms(spec))
 
 
 def record_summary(cmp: MechanismComparison, job_id: str) -> dict:
@@ -201,9 +193,5 @@ def report(cmp: MechanismComparison) -> str:
         )
         parts.append(f"  {job}: {samples}")
     parts.append("")
-    parts.append("Shape checks:")
-    for check in check_shapes(cmp):
-        status = "PASS" if check.passed else "FAIL"
-        parts.append(f"  [{status}] {check.claim}")
-        parts.append(f"         {check.detail}")
+    parts += format_shape_checks(check_shapes(cmp))
     return "\n".join(parts)

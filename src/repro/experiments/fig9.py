@@ -7,24 +7,21 @@ aggregate I/O throughput is (weakly) decreasing in the allocation period —
 finer control adapts to bursts faster — which is why the paper selects
 100 ms.
 
-Since PR 2 the sweep itself runs through the campaign engine: ``run``
-builds the registered ``freq-sweep`` campaign (one cell per allocation
-period) and executes it via :func:`repro.campaigns.run_campaign` — pass
-``jobs=N`` to fan the periods out across worker processes.  At the default
-capacity the aggregates are identical to the pre-campaign hand-rolled
-loop; a non-default ``capacity_mib_s`` now also sizes the continuous jobs
-(the registered scenario's semantics, DESIGN.md §2) instead of leaving
-their volume pinned to the scenario config's separate 1024 MiB/s hint.
+The sweep itself runs through the campaign engine: ``run`` builds the
+registered ``freq-sweep`` campaign (one cell per allocation period) and
+executes it via :func:`repro.campaigns.run_campaign` — pass ``jobs=N`` to
+fan the periods out across worker processes.  The campaign forwards the
+``scale`` overrides to every cell's ``recompensation`` build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.experiments.common import bench_scale
+from repro.experiments.common import ShapeCheck, bench_scale, format_shape_checks
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import ScenarioConfig
+from repro.scenarios.builtin import BENCH_SCALE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaigns import CampaignSpec
@@ -46,55 +43,49 @@ class FrequencySweep:
         return self.aggregates[interval_s]
 
 
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
-
-
 def campaign(
-    scenario_cfg: Optional[ScenarioConfig] = None,
+    scale: Optional[Mapping[str, Any]] = None,
     intervals_s: Sequence[float] = PAPER_INTERVALS_S,
-    capacity_mib_s: float = 1024.0,
 ) -> "CampaignSpec":
     """The ``freq-sweep`` campaign :func:`run` executes: one cell per
-    allocation period, scaled with the scenario's time scale."""
+    allocation period, scaled with the scenario's time scale.
+
+    ``scale`` overrides parameters of the registered ``recompensation``
+    scenario (default: :func:`~repro.experiments.common.bench_scale`).
+    """
     # Function-level import: repro.campaigns.builtin imports this module
     # for PAPER_INTERVALS_S, so the campaign engine must load lazily.
     from repro.campaigns import CAMPAIGNS
 
-    cfg = scenario_cfg or bench_scale()
+    if scale is None:
+        scale = bench_scale()
+    time_scale = scale.get("time_scale", BENCH_SCALE)
     return CAMPAIGNS.build(
         "freq-sweep",
         # str() round-trips floats exactly, so each cell's interval_s is
-        # bit-identical to the scaled value run() computes.
-        intervals=",".join(str(interval * cfg.time_scale) for interval in intervals_s),
-        data_scale=cfg.data_scale,
-        time_scale=cfg.time_scale,
-        heavy_procs=cfg.heavy_procs,
-        window=cfg.window,
-        capacity_mib_s=capacity_mib_s,
+        # bit-identical to the scaled period.
+        intervals=",".join(str(interval * time_scale) for interval in intervals_s),
+        **scale,
     )
 
 
 def run(
-    scenario_cfg: Optional[ScenarioConfig] = None,
+    scale: Optional[Mapping[str, Any]] = None,
     intervals_s: Sequence[float] = PAPER_INTERVALS_S,
-    capacity_mib_s: float = 1024.0,
     jobs: int = 1,
 ) -> FrequencySweep:
     """Sweep the AdapTBF observation period over the §IV-F workload."""
     from repro.campaigns import run_campaign
 
-    cfg = scenario_cfg or bench_scale()
-    scaled = [interval * cfg.time_scale for interval in intervals_s]
-    result = run_campaign(campaign(cfg, intervals_s, capacity_mib_s), jobs=jobs)
+    sweep = campaign(scale, intervals_s)
+    result = run_campaign(sweep, jobs=jobs)
     aggregates = {
         outcome.params["interval_s"]: outcome.row.aggregate_mib_s
         for outcome in result.outcomes
     }
-    return FrequencySweep(intervals_s=scaled, aggregates=aggregates)
+    return FrequencySweep(
+        intervals_s=list(sweep.axes[0].values), aggregates=aggregates
+    )
 
 
 def check_shapes(sweep: FrequencySweep) -> List[ShapeCheck]:
@@ -133,10 +124,6 @@ def report(sweep: FrequencySweep) -> str:
             title="Fig 9: I/O throughput for varying allocation frequency",
         ),
         "",
-        "Shape checks:",
     ]
-    for check in check_shapes(sweep):
-        status = "PASS" if check.passed else "FAIL"
-        parts.append(f"  [{status}] {check.claim}")
-        parts.append(f"         {check.detail}")
+    parts += format_shape_checks(check_shapes(sweep))
     return "\n".join(parts)

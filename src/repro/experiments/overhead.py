@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.allocation import TokenAllocationAlgorithm
 from repro.sim.rng import RngStreams
 from repro.core.types import AllocationInput
+from repro.experiments.common import ShapeCheck, format_shape_checks
 from repro.metrics.tables import format_table
 
 __all__ = ["run", "report", "check_shapes", "PAPER_JOB_COUNTS", "time_allocation"]
@@ -41,13 +42,6 @@ class OverheadResult:
     seconds_per_round: Dict[int, float]
     #: mean microseconds per job, keyed by job count
     us_per_job: Dict[int, float]
-
-
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
 
 
 def _synthetic_inputs(n_jobs: int, rounds: int) -> List[AllocationInput]:
@@ -150,10 +144,6 @@ def report(result: OverheadResult) -> str:
         "",
         "Paper reference: < 30 us/job in the C/Lustre prototype; the shape "
         "claim is O(n).",
-        "Shape checks:",
     ]
-    for check in check_shapes(result):
-        status = "PASS" if check.passed else "FAIL"
-        parts.append(f"  [{status}] {check.claim}")
-        parts.append(f"         {check.detail}")
+    parts += format_shape_checks(check_shapes(result))
     return "\n".join(parts)

@@ -2,9 +2,9 @@
 
 The figure adapters format paper-specific tables; everything else — new
 registered scenarios, ad-hoc CLI runs, sweeps — shares this one renderer,
-which turns a :class:`~repro.scenarios.runner.RunResult` into the standard
-text block: spec header, per-job achieved bandwidth/share/completion,
-aggregate, utilization, and the controller's final ledger.
+which turns a :class:`~repro.cluster.experiment.ExperimentResult` into the
+standard text block: spec header, per-job achieved bandwidth/share/
+completion, aggregate, utilization, and the controller's final ledger.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.metrics.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaigns.executor import CampaignResult
-    from repro.scenarios.runner import RunResult
+    from repro.cluster.experiment import ExperimentResult
 
 __all__ = [
     "format_run_report",
@@ -26,16 +26,14 @@ __all__ = [
 ]
 
 
-def format_run_report(result: "RunResult") -> str:
+def format_run_report(result: "ExperimentResult") -> str:
     """Render one pipeline run as a plain-text report."""
     spec = result.spec
-    parts = []
-    if spec is not None:
-        parts += [spec.describe(), ""]
+    parts = [spec.describe(), ""]
 
     summary = result.summary
     aggregate = summary.aggregate_mib_s
-    job_ids = spec.job_ids if spec is not None else sorted(summary.per_job_mib_s)
+    job_ids = spec.job_ids
     mib = 1 << 20
     rows = []
     for job in job_ids:

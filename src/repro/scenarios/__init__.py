@@ -2,25 +2,25 @@
 
 The subsystem that turns a *description* of an experiment into results::
 
-    ScenarioSpec ──build()──▶ ClusterTopology ──run_scenario()──▶ RunResult
+    ScenarioSpec ──build()──▶ ClusterTopology ──execute()──▶ ExperimentResult
 
 * :mod:`repro.scenarios.spec` — the frozen ``ScenarioSpec`` dataclass
   family (topology, jobs, policy, run);
 * :mod:`repro.scenarios.registry` — name → scenario-factory registry
   behind ``python -m repro.experiments run/list/describe``;
-* :mod:`repro.scenarios.runner` — the single execution entry point;
+* :mod:`repro.scenarios.runner` — the single execution entry point
+  (``run_scenario`` chains ``build`` and ``execute``);
 * :mod:`repro.scenarios.builtin` — the paper's scenarios plus new ones
   (burst storms, elastic churn, heterogeneous OSTs), self-registered on
   import.
 """
 
-from repro.scenarios.registry import REGISTRY, RegisteredScenario, ScenarioRegistry
+from repro.scenarios.registry import REGISTRY, ScenarioRegistry
 from repro.scenarios.spec import (
     PolicySpec,
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
 )
 
 # Populate REGISTRY with the built-in scenarios.
@@ -32,7 +32,6 @@ from repro.scenarios import builtin as _builtin  # noqa: F401  (side effect)
 #: importable from either end of that chain.
 _RUNNER_EXPORTS = (
     "PAPER_MECHANISMS",
-    "RunResult",
     "run_mechanisms",
     "run_scenario",
 )
@@ -49,13 +48,10 @@ __all__ = [
     "PAPER_MECHANISMS",
     "PolicySpec",
     "REGISTRY",
-    "RegisteredScenario",
-    "RunResult",
     "RunSpec",
     "ScenarioRegistry",
     "ScenarioSpec",
     "TopologySpec",
-    "from_scenario",
     "run_mechanisms",
     "run_scenario",
 ]

@@ -9,9 +9,21 @@ OST capacities) — registered in the default
 Factory defaults target the *reduced* bench scale so a CLI run finishes in
 seconds; pass ``data_scale=1 time_scale=1`` (or the figure adapters'
 ``--full``) for the paper-size configuration.
+
+The paper-style job mixes (``allocation``, ``redistribution``,
+``recompensation``, ``burst-storm``, ``elastic-churn``) share two scale
+knobs that rescale an experiment without changing its *shape*:
+``data_scale`` multiplies every volume (``1.0`` is the paper's 1 GiB
+files) and ``time_scale`` multiplies every delay, gap and duration.
+Scaling both by the same factor preserves each burst's size *relative to*
+its period, which is what the control behaviour depends on.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import (
@@ -20,19 +32,11 @@ from repro.scenarios.spec import (
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
-)
-from repro.workloads.scenarios import (
-    BENCH_SCALE,
-    ScenarioConfig,
-    scenario_allocation,
-    scenario_burst_storm,
-    scenario_elastic_churn,
-    scenario_recompensation,
-    scenario_redistribution,
 )
 from repro.workloads.spec import JobSpec, ProcessSpec
 from repro.workloads.patterns import (
+    BurstPattern,
+    DelayedContinuousPattern,
     PoissonArrivalPattern,
     SequentialWritePattern,
     TraceReplayPattern,
@@ -41,33 +45,63 @@ from repro.workloads.registry import WORKLOADS
 from repro.sim.rng import RngStreams
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace, records_by_job
 
-__all__ = ["REGISTRY"]
+__all__ = ["BENCH_SCALE", "REGISTRY"]
 
-def _cfg(
-    data_scale: float,
-    time_scale: float,
-    heavy_procs: int = 16,
-    window: int = 8,
-    capacity_mib_s: float = 1024.0,
-) -> ScenarioConfig:
-    return ScenarioConfig(
-        data_scale=data_scale,
-        time_scale=time_scale,
-        heavy_procs=heavy_procs,
-        window=window,
-        capacity_hint_mib_s=capacity_mib_s,
-    )
+GIB = 1 << 30
+
+#: The repository's reduced "bench" scale: 1/10 data, 1/10 time.  The
+#: paper-mix factories, the built-in campaigns and the figure adapters'
+#: ``bench_scale()`` share this one constant.
+BENCH_SCALE = 0.1
 
 
-def _policy(
-    mechanism: str, interval_s: float, overhead_s: float, variant: str
-) -> PolicySpec:
-    return PolicySpec(
-        mechanism=mechanism,
-        interval_s=interval_s,
-        overhead_s=overhead_s,
-        variant=variant,
-    )
+@dataclass(frozen=True)
+class _Scale:
+    """Scale knobs of the paper-style job mixes (see the module docstring).
+
+    ``capacity_mib_s`` sizes the continuous jobs (DESIGN.md §2): the
+    paper's continuous jobs write 1 GiB files that outlast the experiment
+    on its SSD OST; a simulated OST's speed is configurable, so they are
+    sized from ``capacity × duration`` instead — same role (demand that
+    outlives the observation window), substrate-appropriate volume.
+    """
+
+    data_scale: float
+    time_scale: float
+    capacity_mib_s: float = 1024.0
+    heavy_procs: int = 16  # processes in the paper's "16 process" jobs
+    window: int = 8  # RPCs in flight per process
+
+    def __post_init__(self) -> None:
+        for name in ("data_scale", "time_scale", "capacity_mib_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        if self.heavy_procs <= 0 or self.window <= 0:
+            raise ValueError("heavy_procs and window must be positive")
+
+    def bytes_(self, paper_bytes: float) -> int:
+        """Scale a paper-configuration volume, ≥ 1 MiB to stay meaningful."""
+        return max(MIB, int(paper_bytes * self.data_scale))
+
+    def secs(self, paper_seconds: float) -> float:
+        return paper_seconds * self.time_scale
+
+    def continuous_bytes_per_proc(
+        self, duration_s: float, procs: int, saturation: float = 1.25
+    ) -> int:
+        """Volume that keeps ``procs`` writers busy for ``duration_s``."""
+        total = self.capacity_mib_s * MIB * duration_s * saturation
+        return max(MIB, int(total / procs))
+
+    def writers(self, nbytes: int, procs: int) -> Tuple[ProcessSpec, ...]:
+        """``procs`` sequential writers of ``nbytes`` each."""
+        return tuple(
+            ProcessSpec(SequentialWritePattern(nbytes), window=self.window)
+            for _ in range(procs)
+        )
 
 
 @REGISTRY.register(
@@ -129,11 +163,37 @@ def _allocation(
     overhead_s: float = 0.0,
     variant: str = "full",
 ) -> ScenarioSpec:
-    cfg = _cfg(data_scale, time_scale, heavy_procs, window, capacity_mib_s)
-    return from_scenario(
-        scenario_allocation(cfg),
+    """§IV-D: four identical I/O-intensive jobs, priorities 10/10/30/50 %.
+
+    Each job runs ``heavy_procs`` processes writing a private (scaled) 1 GiB
+    file sequentially.  Higher-priority jobs receive more bandwidth under
+    priority-aware control and therefore finish earlier, producing the
+    shrinking active set the experiment is about.
+    """
+    scale = _Scale(data_scale, time_scale, capacity_mib_s, heavy_procs, window)
+    file_bytes = scale.bytes_(1 * GIB)
+    jobs = [
+        JobSpec(
+            job_id=f"job{idx}",
+            nodes=nodes,
+            processes=scale.writers(file_bytes, heavy_procs),
+        )
+        for idx, nodes in enumerate((1, 1, 3, 5), start=1)
+    ]
+    return ScenarioSpec(
+        name="allocation",
+        jobs=jobs,
         topology=TopologySpec(capacity_mib_s=capacity_mib_s),
-        policy=_policy(mechanism, interval_s, overhead_s, variant),
+        policy=PolicySpec(
+            mechanism=mechanism,
+            interval_s=interval_s,
+            overhead_s=overhead_s,
+            variant=variant,
+        ),
+        description=(
+            "4 identical sequential-write jobs, priorities 10/10/30/50%; "
+            "runs until all complete"
+        ),
     )
 
 
@@ -152,11 +212,62 @@ def _redistribution(
     overhead_s: float = 0.0,
     variant: str = "full",
 ) -> ScenarioSpec:
-    cfg = _cfg(data_scale, time_scale, heavy_procs, window, capacity_mib_s)
-    return from_scenario(
-        scenario_redistribution(cfg),
+    """§IV-E: three high-priority bursty jobs vs one low-priority hog.
+
+    Jobs 1–3 (30 % each): 2 processes issuing periodic short bursts
+    (write-then-sleep) with per-job volumes/gaps chosen to interleave on
+    the server.  Job 4 (10 %): ``heavy_procs`` processes with continuous
+    demand from t=0 that outlives the observation window.
+    """
+    scale = _Scale(data_scale, time_scale, capacity_mib_s, heavy_procs, window)
+    duration = scale.secs(60.0)
+    burst_params = [  # (burst MiB, gap s, first-burst delay s)
+        (96, 4.0, 0.0),
+        (128, 5.0, 1.3),
+        (64, 3.5, 2.1),
+    ]
+    jobs = []
+    for idx, (mib, gap, delay) in enumerate(burst_params, start=1):
+        gap_s = scale.secs(gap)
+        count = max(2, int((duration - scale.secs(delay)) / gap_s))
+        processes = tuple(
+            ProcessSpec(
+                BurstPattern(
+                    burst_bytes=scale.bytes_(mib * MIB),
+                    interval_s=gap_s,
+                    count=count,
+                    # The second process is offset half a period so the two
+                    # streams interleave, as the paper's Filebench setup does.
+                    start_delay_s=scale.secs(delay) + proc * gap_s / 2,
+                ),
+                window=window,
+            )
+            for proc in range(2)
+        )
+        jobs.append(JobSpec(job_id=f"job{idx}", nodes=3, processes=processes))
+    hog_bytes = scale.continuous_bytes_per_proc(duration, heavy_procs)
+    jobs.append(
+        JobSpec(
+            job_id="job4",
+            nodes=1,
+            processes=scale.writers(hog_bytes, heavy_procs),
+        )
+    )
+    return ScenarioSpec(
+        name="redistribution",
+        jobs=jobs,
         topology=TopologySpec(capacity_mib_s=capacity_mib_s),
-        policy=_policy(mechanism, interval_s, overhead_s, variant),
+        policy=PolicySpec(
+            mechanism=mechanism,
+            interval_s=interval_s,
+            overhead_s=overhead_s,
+            variant=variant,
+        ),
+        run=RunSpec(duration_s=duration),
+        description=(
+            "jobs 1-3: high priority (30%), interleaved periodic bursts; "
+            "job 4: low priority (10%), continuous 16-process stream"
+        ),
     )
 
 
@@ -175,11 +286,75 @@ def _recompensation(
     overhead_s: float = 0.0,
     variant: str = "full",
 ) -> ScenarioSpec:
-    cfg = _cfg(data_scale, time_scale, heavy_procs, window, capacity_mib_s)
-    return from_scenario(
-        scenario_recompensation(cfg),
+    """§IV-F: equal priorities; delayed continuous streams trigger reclaim.
+
+    All four jobs have 25 % priority.  Jobs 1–3 run one small-burst process
+    (constant gap, volumes differing per job — job 3's bursts are the
+    smallest) plus one continuous process delayed by 20/50/80 s.  Job 4 runs
+    ``heavy_procs`` continuous processes from t=0, so it borrows heavily
+    from the delayed jobs early on and must give tokens back later.
+    """
+    scale = _Scale(data_scale, time_scale, capacity_mib_s, heavy_procs, window)
+    duration = scale.secs(120.0)
+    params = [  # (burst MiB, gap s, continuous-start delay s)
+        (48, 3.0, 20.0),
+        (32, 4.0, 50.0),
+        (24, 5.0, 80.0),  # job3: largest delay, smallest burst (per paper)
+    ]
+    jobs = []
+    for idx, (mib, gap, delay) in enumerate(params, start=1):
+        gap_s = scale.secs(gap)
+        burst_proc = ProcessSpec(
+            BurstPattern(
+                burst_bytes=scale.bytes_(mib * MIB),
+                interval_s=gap_s,
+                count=max(2, int(duration / gap_s)),
+            ),
+            window=window,
+        )
+        # The delayed stream runs to the end of the window from its start.
+        stream_duration = max(duration - scale.secs(delay), scale.secs(10.0))
+        continuous_proc = ProcessSpec(
+            DelayedContinuousPattern(
+                delay_s=scale.secs(delay),
+                total_bytes=scale.continuous_bytes_per_proc(
+                    stream_duration, procs=4, saturation=1.0
+                ),
+            ),
+            window=window,
+        )
+        jobs.append(
+            JobSpec(
+                job_id=f"job{idx}",
+                nodes=1,
+                processes=(burst_proc, continuous_proc),
+            )
+        )
+    hog_bytes = scale.continuous_bytes_per_proc(
+        duration, heavy_procs, saturation=1.0
+    )
+    jobs.append(
+        JobSpec(
+            job_id="job4",
+            nodes=1,
+            processes=scale.writers(hog_bytes, heavy_procs),
+        )
+    )
+    return ScenarioSpec(
+        name="recompensation",
+        jobs=jobs,
         topology=TopologySpec(capacity_mib_s=capacity_mib_s),
-        policy=_policy(mechanism, interval_s, overhead_s, variant),
+        policy=PolicySpec(
+            mechanism=mechanism,
+            interval_s=interval_s,
+            overhead_s=overhead_s,
+            variant=variant,
+        ),
+        run=RunSpec(duration_s=duration),
+        description=(
+            "4 equal-priority jobs; jobs 1-3 lend early (delayed continuous "
+            "streams at 20/50/80s) while job 4 borrows from t=0"
+        ),
     )
 
 
@@ -259,15 +434,61 @@ def _burst_storm(
     mechanism: str = "adaptbf",
     interval_s: float = 0.1,
 ) -> ScenarioSpec:
-    cfg = _cfg(data_scale, time_scale, capacity_mib_s=capacity_mib_s)
-    scenario = scenario_burst_storm(
-        cfg, n_jobs=n_jobs, seed=seed, duration_s=duration_s, with_hog=with_hog
-    )
-    return from_scenario(
-        scenario,
+    """Mixed-priority burst storm: many jobs, randomized shapes (seeded).
+
+    ``n_jobs`` bursty jobs with node counts (priorities), burst volumes,
+    cadences, process counts and phase offsets all drawn from a named
+    :class:`~repro.sim.rng.RngStreams` substream — the adversarial
+    many-tenant regime none of the paper's fixed four-job scripts could
+    express.  An optional low-priority continuous hog keeps the OST
+    saturated between bursts so redistribution stays observable.  The same
+    seed always yields the identical job mix.
+    """
+    scale = _Scale(data_scale, time_scale, capacity_mib_s)
+    if n_jobs <= 0:
+        raise ValueError("n_jobs must be positive")
+    rng = RngStreams(seed=seed).get_stdlib("scenario.burst-storm")
+    duration = scale.secs(duration_s)
+    jobs: List[JobSpec] = []
+    for idx in range(1, n_jobs + 1):
+        nodes = rng.randint(1, 8)
+        n_procs = rng.randint(1, 3)
+        processes = []
+        for _ in range(n_procs):
+            gap_s = scale.secs(rng.uniform(2.0, 6.0))
+            delay_s = scale.secs(rng.uniform(0.0, 4.0))
+            count = max(2, int((duration - delay_s) / gap_s))
+            processes.append(
+                ProcessSpec(
+                    BurstPattern(
+                        burst_bytes=scale.bytes_(
+                            rng.choice((16, 32, 64, 96, 128)) * MIB
+                        ),
+                        interval_s=gap_s,
+                        count=count,
+                        start_delay_s=delay_s,
+                    ),
+                    window=scale.window,
+                )
+            )
+        jobs.append(
+            JobSpec(job_id=f"storm{idx}", nodes=nodes, processes=tuple(processes))
+        )
+    if with_hog:
+        hog_bytes = scale.continuous_bytes_per_proc(duration, 4, saturation=1.0)
+        jobs.append(
+            JobSpec(job_id="hog", nodes=1, processes=scale.writers(hog_bytes, 4))
+        )
+    return ScenarioSpec(
+        name="burst-storm",
+        jobs=jobs,
         topology=TopologySpec(capacity_mib_s=capacity_mib_s),
         policy=PolicySpec(mechanism=mechanism, interval_s=interval_s),
-        run=RunSpec(duration_s=scenario.duration_s, seed=seed),
+        run=RunSpec(duration_s=duration, seed=seed),
+        description=(
+            f"{n_jobs} mixed-priority bursty jobs with seeded-random shapes "
+            f"(seed={seed})" + (" + continuous low-priority hog" if with_hog else "")
+        ),
     )
 
 
@@ -287,20 +508,55 @@ def _elastic_churn(
     mechanism: str = "adaptbf",
     interval_s: float = 0.1,
 ) -> ScenarioSpec:
-    cfg = _cfg(data_scale, time_scale, capacity_mib_s=capacity_mib_s)
-    scenario = scenario_elastic_churn(
-        cfg,
-        waves=waves,
-        jobs_per_wave=jobs_per_wave,
-        wave_gap_s=wave_gap_s,
-        file_mib=file_mib,
-        seed=seed,
-    )
-    return from_scenario(
-        scenario,
+    """Elastic job churn: whole jobs arrive in waves, finish, and leave.
+
+    Wave ``w`` starts ``w * wave_gap_s`` (scaled) into the run; each of its
+    jobs writes a fixed volume and departs, so the active set repeatedly
+    grows and shrinks — continuous arrival *and* departure churn, where the
+    paper's scripts only ever shrink (§IV-D) or hold steady (§IV-E/F).
+    Node counts are drawn per job from a named
+    :class:`~repro.sim.rng.RngStreams` substream, so every wave mixes
+    priorities.
+    """
+    scale = _Scale(data_scale, time_scale, capacity_mib_s)
+    if waves <= 0 or jobs_per_wave <= 0:
+        raise ValueError("waves and jobs_per_wave must be positive")
+    if wave_gap_s <= 0:
+        raise ValueError("wave_gap_s must be positive")
+    rng = RngStreams(seed=seed).get_stdlib("scenario.elastic-churn")
+    jobs: List[JobSpec] = []
+    for wave in range(waves):
+        arrival_s = scale.secs(wave * wave_gap_s)
+        for j in range(jobs_per_wave):
+            nodes = rng.choice((1, 2, 4))
+            n_procs = rng.randint(2, 4)
+            processes = tuple(
+                ProcessSpec(
+                    SequentialWritePattern(
+                        scale.bytes_(file_mib * MIB), start_delay_s=arrival_s
+                    ),
+                    window=scale.window,
+                )
+                for _ in range(n_procs)
+            )
+            jobs.append(
+                JobSpec(
+                    job_id=f"wave{wave + 1}.job{j + 1}",
+                    nodes=nodes,
+                    processes=processes,
+                )
+            )
+    return ScenarioSpec(
+        name="elastic-churn",
+        jobs=jobs,
         topology=TopologySpec(capacity_mib_s=capacity_mib_s),
         policy=PolicySpec(mechanism=mechanism, interval_s=interval_s),
         run=RunSpec(duration_s=None, seed=seed),
+        description=(
+            f"{waves} waves x {jobs_per_wave} jobs arriving every "
+            f"{wave_gap_s:g}s (scaled), each departing when its files are "
+            f"written (seed={seed})"
+        ),
     )
 
 

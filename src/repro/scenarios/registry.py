@@ -9,9 +9,6 @@ process-wide default :data:`REGISTRY`::
     def _quickstart(file_mib: float = 256.0, ...) -> ScenarioSpec: ...
 
     spec = REGISTRY.build("quickstart", file_mib=64)
-
-``FactoryRegistry`` and ``RegisteredFactory`` are re-exported here for
-callers that predate the shared module.
 """
 
 from __future__ import annotations
@@ -21,16 +18,7 @@ from typing import List
 from repro.registry import FactoryRegistry, RegisteredFactory
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = [
-    "RegisteredFactory",
-    "RegisteredScenario",
-    "FactoryRegistry",
-    "ScenarioRegistry",
-    "REGISTRY",
-]
-
-#: Pre-campaign name for :class:`RegisteredFactory`.
-RegisteredScenario = RegisteredFactory
+__all__ = ["ScenarioRegistry", "REGISTRY"]
 
 
 class ScenarioRegistry(FactoryRegistry):

@@ -17,10 +17,11 @@ that materializes and runs it:
 
 Specs flow through one pipeline::
 
-    ScenarioSpec --build()--> ClusterTopology --run_scenario()--> RunResult
+    ScenarioSpec --build()--> ClusterTopology --execute()--> ExperimentResult
 
 (:func:`repro.cluster.builder.build` and
-:func:`repro.scenarios.runner.run_scenario`), and are registered by name in
+:func:`repro.cluster.experiment.execute`, which
+:func:`repro.scenarios.runner.run_scenario` chains), and are registered by name in
 the :class:`~repro.scenarios.registry.ScenarioRegistry` so every workload —
 the paper's figures and anything new — is reachable from
 ``python -m repro.experiments run <name>``.
@@ -29,6 +30,7 @@ the paper's figures and anything new — is reachable from
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -45,7 +47,6 @@ __all__ = [
     "RunSpec",
     "ScenarioSpec",
     "METRIC_NAMES",
-    "from_scenario",
 ]
 
 MIB = 1 << 20
@@ -92,8 +93,11 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if self.n_osts <= 0:
             raise ValueError("n_osts must be positive")
-        if self.capacity_mib_s <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < self.capacity_mib_s < math.inf:
+            raise ValueError(
+                f"capacity_mib_s must be positive and finite, got "
+                f"{self.capacity_mib_s!r}"
+            )
         if self.ost_capacities_mib_s is not None:
             caps = tuple(float(c) for c in self.ost_capacities_mib_s)
             object.__setattr__(self, "ost_capacities_mib_s", caps)
@@ -102,14 +106,19 @@ class TopologySpec:
                     f"ost_capacities_mib_s must list {self.n_osts} capacities,"
                     f" got {len(caps)}"
                 )
-            if any(c <= 0 for c in caps):
-                raise ValueError("all OST capacities must be positive")
+            if not all(0 < c < math.inf for c in caps):
+                raise ValueError(
+                    f"all OST capacities must be positive and finite, got {caps}"
+                )
         if self.rpc_size <= 0:
             raise ValueError("rpc_size must be positive")
         if self.io_threads <= 0:
             raise ValueError("io_threads must be positive")
-        if self.net_latency_s < 0:
-            raise ValueError("net_latency_s must be >= 0")
+        if not 0 <= self.net_latency_s < math.inf:
+            raise ValueError(
+                f"net_latency_s must be >= 0 and finite, got "
+                f"{self.net_latency_s!r}"
+            )
         if not (1 <= self.stripe_count <= self.n_osts):
             raise ValueError(
                 f"stripe_count must be in [1, n_osts], got {self.stripe_count}"
@@ -547,24 +556,3 @@ class ScenarioSpec:
             )
         return "\n".join(lines)
 
-
-def from_scenario(
-    scenario,
-    topology: Optional[TopologySpec] = None,
-    policy: Optional[PolicySpec] = None,
-    run: Optional[RunSpec] = None,
-) -> ScenarioSpec:
-    """Lift a legacy :class:`~repro.workloads.scenarios.Scenario` (a bare
-    job mix + duration) into a full :class:`ScenarioSpec`.
-
-    ``run`` defaults to the scenario's own duration cap; topology and
-    policy default to the standard single-OST AdapTBF setup.
-    """
-    return ScenarioSpec(
-        name=scenario.name,
-        jobs=tuple(scenario.jobs),
-        topology=topology if topology is not None else TopologySpec(),
-        policy=policy if policy is not None else PolicySpec(),
-        run=run if run is not None else RunSpec(duration_s=scenario.duration_s),
-        description=scenario.description,
-    )

@@ -17,10 +17,11 @@ registry-driven plugin axis mirroring scenarios, campaigns and mechanisms:
   ``run --workload NAME --workload-param K=V``, and the reserved
   ``workload`` campaign axis;
 * :mod:`repro.workloads.spec` — the job/process description consumed by
-  the cluster builder;
-* :mod:`repro.workloads.scenarios` — the paper's three §IV-D/E/F
-  evaluation mixes plus the post-paper mixes (burst storms, elastic
-  churn), with scale knobs so benches run in seconds.
+  the cluster builder.
+
+The job *mixes* built from these patterns — the paper's §IV-D/E/F
+evaluation scenarios and the post-paper ones — are registered scenarios in
+:mod:`repro.scenarios.builtin`.
 """
 
 from repro.workloads.patterns import (
@@ -36,14 +37,6 @@ from repro.workloads.patterns import (
     TraceReplayPattern,
 )
 from repro.workloads.registry import WORKLOADS, WorkloadRegistry
-from repro.workloads.scenarios import (
-    ScenarioConfig,
-    scenario_allocation,
-    scenario_burst_storm,
-    scenario_elastic_churn,
-    scenario_recompensation,
-    scenario_redistribution,
-)
 from repro.workloads.spec import JobSpec, ProcessSpec
 from repro.workloads.trace import (
     EXAMPLE_TRACE,
@@ -65,7 +58,6 @@ __all__ = [
     "PhasedPattern",
     "PoissonArrivalPattern",
     "ProcessSpec",
-    "ScenarioConfig",
     "SequentialReadPattern",
     "SequentialWritePattern",
     "TraceFormatError",
@@ -75,10 +67,5 @@ __all__ = [
     "WorkloadRegistry",
     "load_trace",
     "records_by_job",
-    "scenario_allocation",
-    "scenario_burst_storm",
-    "scenario_elastic_churn",
-    "scenario_recompensation",
-    "scenario_redistribution",
     "validate_trace",
 ]

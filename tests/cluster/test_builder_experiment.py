@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.experiment import run_experiment, run_scenario
+from repro.cluster.builder import build
 from repro.lustre.nrs import FifoPolicy, TbfPolicy
-from repro.sim import Environment
+from repro.scenarios import REGISTRY, PolicySpec, ScenarioSpec, TopologySpec, run_scenario
 from repro.workloads.patterns import SequentialWritePattern
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
 
 MIB = 1 << 20
 
 
-def tiny_jobs(n=2, volume=10 * MIB, nodes=(1, 3)):
-    return [
+def tiny_spec(n=2, volume=10 * MIB, nodes=(1, 3)):
+    jobs = [
         JobSpec(
             job_id=f"j{i}",
             nodes=nodes[i % len(nodes)],
@@ -22,96 +20,94 @@ def tiny_jobs(n=2, volume=10 * MIB, nodes=(1, 3)):
         )
         for i in range(n)
     ]
+    return ScenarioSpec(name="tiny", jobs=tuple(jobs))
 
 
-class TestClusterConfig:
+class TestTopologySpec:
     def test_token_rate_follows_capacity(self):
-        config = ClusterConfig(capacity_mib_s=512.0, rpc_size=MIB)
-        assert config.max_token_rate == pytest.approx(512.0)
+        topology = TopologySpec(capacity_mib_s=512.0, rpc_size=MIB)
+        assert topology.max_token_rate() == pytest.approx(512.0)
 
     def test_half_mib_rpcs_double_token_rate(self):
-        config = ClusterConfig(capacity_mib_s=512.0, rpc_size=MIB // 2)
-        assert config.max_token_rate == pytest.approx(1024.0)
+        topology = TopologySpec(capacity_mib_s=512.0, rpc_size=MIB // 2)
+        assert topology.max_token_rate() == pytest.approx(1024.0)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            ClusterConfig(capacity_mib_s=0)
+            TopologySpec(capacity_mib_s=0)
         with pytest.raises(ValueError):
-            ClusterConfig(rpc_size=0)
+            TopologySpec(rpc_size=0)
         with pytest.raises(ValueError):
-            ClusterConfig(variant="bogus")
+            PolicySpec(variant="bogus")
 
 
-class TestBuildCluster:
+class TestBuild:
     def test_none_uses_fifo(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="none"), tiny_jobs()
-        )
-        assert isinstance(cluster.oss.policy, FifoPolicy)
-        assert cluster.adaptbf is None
-        assert cluster.static_rates is None
+        cluster = build(tiny_spec().with_policy(mechanism="none"))
+        (handle,) = cluster.handles
+        assert isinstance(cluster.osses[0].policy, FifoPolicy)
+        assert handle.adaptbf is None
+        assert handle.static_rates is None
 
     def test_static_installs_rules(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="static"), tiny_jobs()
-        )
-        assert isinstance(cluster.oss.policy, TbfPolicy)
-        assert cluster.static_rates is not None
-        rates = cluster.static_rates[0]  # one dict per OST
+        cluster = build(tiny_spec().with_policy(mechanism="static"))
+        (handle,) = cluster.handles
+        assert isinstance(cluster.osses[0].policy, TbfPolicy)
+        rates = handle.static_rates
         assert set(rates) == {"j0", "j1"}
         # 1:3 node split of the token budget.
         assert rates["j1"] == pytest.approx(3 * rates["j0"])
 
     def test_adaptbf_attaches_framework(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="adaptbf"), tiny_jobs()
-        )
-        assert cluster.adaptbf is not None
-        assert cluster.adaptbf.controller.nodes == {"j0": 1, "j1": 3}
+        cluster = build(tiny_spec().with_policy(mechanism="adaptbf"))
+        adaptbf = cluster.handles[0].adaptbf
+        assert adaptbf is not None
+        assert adaptbf.controller.nodes == {"j0": 1, "j1": 3}
 
     def test_ablation_variant_injected(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="adaptbf", variant="priority_only"),
-            tiny_jobs(),
+        cluster = build(
+            tiny_spec().with_policy(mechanism="adaptbf", variant="priority_only")
         )
-        assert not cluster.adaptbf.algorithm.enable_redistribution
+        assert not cluster.handles[0].adaptbf.algorithm.enable_redistribution
 
     def test_one_client_per_process(self):
-        env = Environment()
-        jobs = [
+        jobs = (
             JobSpec(
                 job_id="j",
                 nodes=1,
                 processes=tuple(
                     ProcessSpec(SequentialWritePattern(MIB)) for _ in range(5)
                 ),
-            )
-        ]
-        cluster = build_cluster(env, ClusterConfig(), jobs)
+            ),
+        )
+        cluster = build(ScenarioSpec(name="five", jobs=jobs))
         assert len(cluster.clients) == 5
 
 
-class TestRunExperiment:
+class TestRunScenario:
     def test_run_to_completion(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=50 * MIB),
+        result = run_scenario(
+            tiny_spec(volume=50 * MIB)
+            .with_policy(mechanism="none")
+            .with_topology(capacity_mib_s=100)
         )
         assert result.clients_finished
         assert result.timeline.total_bytes() == 100 * MIB
         assert set(result.job_completion_s) == {"j0", "j1"}
         assert result.summary.aggregate_mib_s > 0
 
+    def test_result_carries_its_spec(self):
+        spec = tiny_spec().with_policy(mechanism="none")
+        result = run_scenario(spec)
+        assert result.spec is spec
+        assert result.mechanism == "none"
+
     def test_duration_cap_truncates(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=10),
-            tiny_jobs(volume=100 * MIB),
-            duration_s=2.0,
+        result = run_scenario(
+            tiny_spec(volume=100 * MIB)
+            .with_policy(mechanism="none")
+            .with_topology(capacity_mib_s=10)
+            .with_run(duration_s=2.0)
         )
         assert not result.clients_finished
         assert result.duration_s == 2.0
@@ -120,36 +116,37 @@ class TestRunExperiment:
         assert 10 * MIB <= result.timeline.total_bytes() <= 25 * MIB
 
     def test_adaptbf_history_captured(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="adaptbf", capacity_mib_s=100),
-            tiny_jobs(volume=30 * MIB),
+        result = run_scenario(
+            tiny_spec(volume=30 * MIB)
+            .with_policy(mechanism="adaptbf")
+            .with_topology(capacity_mib_s=100)
         )
         assert len(result.history) > 0
         assert result.record_series("j0")
         assert result.demand_series("j0")
 
     def test_baseline_history_empty(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=10 * MIB),
+        result = run_scenario(
+            tiny_spec(volume=10 * MIB)
+            .with_policy(mechanism="none")
+            .with_topology(capacity_mib_s=100)
         )
         assert result.history == []
 
     def test_utilization_reported(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=50 * MIB),
+        result = run_scenario(
+            tiny_spec(volume=50 * MIB)
+            .with_policy(mechanism="none")
+            .with_topology(capacity_mib_s=100)
         )
         # Saturating FIFO workload: utilization near 1.
         assert result.ost_utilization == pytest.approx(1.0, abs=0.1)
 
-    def test_run_scenario_wrapper(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 512, heavy_procs=2)
-        )
-        result = run_scenario(
-            scenario, ClusterConfig(mechanism="adaptbf", capacity_mib_s=256)
-        )
+    def test_registered_paper_mix(self):
+        spec = REGISTRY.build(
+            "allocation", data_scale=1 / 512, heavy_procs=2
+        ).with_topology(capacity_mib_s=256)
+        result = run_scenario(spec)
         assert result.clients_finished
         assert set(result.job_completion_s) == {
             "job1",

@@ -8,17 +8,16 @@ one independent controller per OST and verify exactly that.
 
 import pytest
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.experiment import run_experiment
-from repro.sim import Environment
+from repro.cluster.builder import build
+from repro.scenarios import ScenarioSpec, TopologySpec, run_scenario
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.spec import JobSpec, ProcessSpec
 
 MIB = 1 << 20
 
 
-def jobs_16proc(volume=64 * MIB, nodes=(1, 3)):
-    return [
+def spec_16proc(volume=64 * MIB, nodes=(1, 3)):
+    jobs = tuple(
         JobSpec(
             job_id=f"j{i}",
             nodes=n,
@@ -27,28 +26,26 @@ def jobs_16proc(volume=64 * MIB, nodes=(1, 3)):
             ),
         )
         for i, n in enumerate(nodes)
-    ]
+    )
+    return ScenarioSpec(name="multi-ost", jobs=jobs)
 
 
 class TestMultiOstBuild:
     def test_builds_independent_stacks(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="adaptbf", n_osts=4),
-            jobs_16proc(),
+        cluster = build(
+            spec_16proc().with_policy(mechanism="adaptbf").with_topology(n_osts=4)
         )
         assert len(cluster.osts) == 4
         assert len(cluster.osses) == 4
-        assert len(cluster.controllers) == 4
+        controllers = [handle.adaptbf for handle in cluster.handles]
+        assert len(controllers) == 4
         # Controllers share no allocator state.
-        algos = {id(c.algorithm) for c in cluster.controllers}
+        algos = {id(c.algorithm) for c in controllers}
         assert len(algos) == 4
 
     def test_round_robin_file_placement(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="none", n_osts=4), jobs_16proc()
+        cluster = build(
+            spec_16proc().with_policy(mechanism="none").with_topology(n_osts=4)
         )
         # 16 files over 4 OSTs round-robin: each OST serves 4 files.
         placements = [c.io.layout.targets[0] for c in cluster.clients]
@@ -57,20 +54,17 @@ class TestMultiOstBuild:
 
     def test_stripe_count_validation(self):
         with pytest.raises(ValueError):
-            ClusterConfig(n_osts=2, stripe_count=3)
+            TopologySpec(n_osts=2, stripe_count=3)
         with pytest.raises(ValueError):
-            ClusterConfig(n_osts=0)
+            TopologySpec(n_osts=0)
 
     def test_static_rules_installed_per_ost(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="static", n_osts=3),
-            jobs_16proc(),
+        cluster = build(
+            spec_16proc().with_policy(mechanism="static").with_topology(n_osts=3)
         )
-        assert len(cluster.static_rates) == 3
-        for rates in cluster.static_rates:
-            assert set(rates) == {"j0", "j1"}
+        assert len(cluster.handles) == 3
+        for handle in cluster.handles:
+            assert set(handle.static_rates) == {"j0", "j1"}
 
 
 class TestDecentralizedFairness:
@@ -81,12 +75,11 @@ class TestDecentralizedFairness:
         window, so the measured bandwidths reflect the steady-state shares
         (a finished job would hand its share back and compress the ratio).
         """
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf", n_osts=4, capacity_mib_s=256
-            ),
-            jobs_16proc(volume=400 * MIB, nodes=(1, 3)),
-            duration_s=2.0,
+        result = run_scenario(
+            spec_16proc(volume=400 * MIB, nodes=(1, 3))
+            .with_policy(mechanism="adaptbf")
+            .with_topology(n_osts=4, capacity_mib_s=256)
+            .with_run(duration_s=2.0)
         )
         bw = result.summary
         assert not result.clients_finished  # both still writing at the cap
@@ -94,27 +87,22 @@ class TestDecentralizedFairness:
         assert 2.0 < ratio < 4.5, ratio
 
     def test_each_ost_runs_its_own_rounds(self):
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf", n_osts=3, capacity_mib_s=256
-            ),
-            jobs_16proc(volume=32 * MIB),
-            duration_s=1.0,
+        result = run_scenario(
+            spec_16proc(volume=32 * MIB)
+            .with_policy(mechanism="adaptbf")
+            .with_topology(n_osts=3, capacity_mib_s=256)
+            .with_run(duration_s=1.0)
         )
         assert len(result.per_ost_histories) == 3
         for history in result.per_ost_histories:
             assert len(history) >= 5  # ~10 rounds in 1 s at 100 ms
 
     def test_striped_files_reach_all_osts(self):
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf",
-                n_osts=2,
-                stripe_count=2,
-                capacity_mib_s=256,
-            ),
-            jobs_16proc(volume=32 * MIB),
-            duration_s=2.0,
+        result = run_scenario(
+            spec_16proc(volume=32 * MIB)
+            .with_policy(mechanism="adaptbf")
+            .with_topology(n_osts=2, stripe_count=2, capacity_mib_s=256)
+            .with_run(duration_s=2.0)
         )
         # Both OSTs' controllers saw both jobs.
         for history in result.per_ost_histories:
@@ -125,14 +113,12 @@ class TestDecentralizedFairness:
 
     def test_multi_ost_aggregate_scales(self):
         """Two OSTs deliver ~2x one OST's bandwidth for the same workload."""
-        one = run_experiment(
-            ClusterConfig(mechanism="none", n_osts=1, capacity_mib_s=128),
-            jobs_16proc(volume=64 * MIB),
-            duration_s=2.0,
+        spec = (
+            spec_16proc(volume=64 * MIB)
+            .with_policy(mechanism="none")
+            .with_topology(capacity_mib_s=128)
+            .with_run(duration_s=2.0)
         )
-        two = run_experiment(
-            ClusterConfig(mechanism="none", n_osts=2, capacity_mib_s=128),
-            jobs_16proc(volume=64 * MIB),
-            duration_s=2.0,
-        )
+        one = run_scenario(spec)
+        two = run_scenario(spec.with_topology(n_osts=2))
         assert two.summary.aggregate_mib_s > 1.6 * one.summary.aggregate_mib_s

@@ -35,14 +35,14 @@ class TestHistoryRetention:
     def test_default_keeps_every_round(self):
         cluster = build(spec_with(True))
         cluster.env.run(until=cluster.all_clients_done())
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].adaptbf.controller
         assert isinstance(ctrl.history, list)
         assert len(ctrl.history) > 3
 
     def test_int_caps_with_deque(self):
         cluster = build(spec_with(3))
         cluster.env.run(until=cluster.all_clients_done())
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].adaptbf.controller
         assert isinstance(ctrl.history, deque)
         assert ctrl.history.maxlen == 3
         assert len(ctrl.history) == 3
@@ -54,16 +54,16 @@ class TestHistoryRetention:
     def test_false_disables_recording_but_not_callbacks(self):
         cluster = build(spec_with(False))
         seen = []
-        cluster.adaptbf.controller.on_round(seen.append)
+        cluster.handles[0].adaptbf.controller.on_round(seen.append)
         cluster.env.run(until=cluster.all_clients_done())
-        assert cluster.adaptbf.controller.history == []
+        assert cluster.handles[0].adaptbf.controller.history == []
         assert seen  # on_round still fires every round
 
     def test_nonpositive_cap_rejected(self):
         from repro.core.controller import SystemStatsController
 
         cluster = build(spec_with(True))
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].adaptbf.controller
         with pytest.raises(ValueError, match="keep_history"):
             SystemStatsController(
                 cluster.env,
@@ -83,7 +83,7 @@ class TestNoDemandPath:
     def test_rules_stopped_after_jobs_finish(self):
         cluster = build(spec_with(True, volume_mib=64))
         env = cluster.env
-        daemon = cluster.adaptbf.daemon
+        daemon = cluster.handles[0].adaptbf.daemon
         env.run(until=cluster.all_clients_done())
         # While jobs ran, managed rules existed.
         assert daemon.rules_created > 0
@@ -103,16 +103,16 @@ class TestNoDemandPath:
         # One more period may record the final RPCs served mid-window;
         # after that the demand signal is flat zero.
         env.run(until=env.now + 0.3)
-        rounds_after_flush = len(cluster.adaptbf.history)
+        rounds_after_flush = len(cluster.handles[0].adaptbf.history)
         env.run(until=env.now + 1.0)
         # Idle periods produce no allocation rounds (result is None).
-        assert len(cluster.adaptbf.history) == rounds_after_flush
+        assert len(cluster.handles[0].adaptbf.history) == rounds_after_flush
 
     def test_idle_controller_with_no_rules_stays_quiet(self):
         """_stop_all_rules must not fire when nothing is managed."""
         cluster = build(spec_with(True, volume_mib=64))
         env = cluster.env
-        daemon = cluster.adaptbf.daemon
+        daemon = cluster.handles[0].adaptbf.daemon
         env.run(until=cluster.all_clients_done())
         env.run(until=env.now + 1.0)
         stopped_once = daemon.rules_stopped

@@ -93,7 +93,7 @@ class TestRegistry:
                 ScenarioSpec(name="t", jobs=tiny_jobs(), policy=policy)
             )
             assert len(cluster.handles) == 1
-            assert cluster.controllers == []
+            assert cluster.handles[0].adaptbf is None
         finally:
             MECHANISMS.unregister("test-noop")
 
@@ -143,16 +143,17 @@ class TestPolicySpecIntegration:
 class TestBuildIntegration:
     def test_none_uses_fifo(self):
         cluster = build(spec_for("none"))
-        assert isinstance(cluster.oss.policy, FifoPolicy)
-        assert cluster.controllers == []
-        assert cluster.static_rates is None
+        (handle,) = cluster.handles
+        assert isinstance(cluster.osses[0].policy, FifoPolicy)
+        assert handle.adaptbf is None
+        assert handle.static_rates is None
         assert cluster.handles[0].history is None
 
     def test_static_exposes_rates(self):
         cluster = build(spec_for("static"))
-        assert isinstance(cluster.oss.policy, TbfPolicy)
-        assert cluster.static_rates is not None
-        assert sum(cluster.static_rates[0].values()) == pytest.approx(1024.0)
+        assert isinstance(cluster.osses[0].policy, TbfPolicy)
+        rates = cluster.handles[0].static_rates
+        assert sum(rates.values()) == pytest.approx(1024.0)
 
     def test_adaptbf_handles_expose_controllers(self):
         spec = ScenarioSpec(
@@ -162,17 +163,18 @@ class TestBuildIntegration:
         )
         cluster = build(spec)
         assert len(cluster.handles) == 2
-        assert len(cluster.controllers) == 2
-        assert cluster.adaptbf is cluster.controllers[0]
+        controllers = [handle.adaptbf for handle in cluster.handles]
+        assert None not in controllers
+        assert controllers[0] is not controllers[1]
         assert cluster.mechanism.name == "adaptbf"
 
     def test_variant_param_overrides_policy_variant(self):
         cluster = build(spec_for("adaptbf", variant="priority_only"))
-        assert not cluster.adaptbf.algorithm.enable_redistribution
+        assert not cluster.handles[0].adaptbf.algorithm.enable_redistribution
 
     def test_ewma_wires_estimator(self):
         cluster = build(spec_for("adaptbf-ewma", alpha=0.3))
-        estimator = cluster.adaptbf.algorithm.demand_estimator
+        estimator = cluster.handles[0].adaptbf.algorithm.demand_estimator
         assert isinstance(estimator, EwmaEstimator)
         assert estimator.alpha == 0.3
 
@@ -183,7 +185,7 @@ class TestBuildIntegration:
         cluster = build(
             spec_for("adaptbf-ewma"), algorithm_factory=lambda: marker
         )
-        assert cluster.adaptbf.algorithm is marker
+        assert cluster.handles[0].adaptbf.algorithm is marker
 
 
 class TestAdapTbfHandleHooks:
@@ -299,8 +301,8 @@ class TestPidMechanism:
         assert handle.rounds_run >= 5
         assert handle.rules_created >= 2
         rules = {
-            name: cluster.oss.policy.get_rule(name)
-            for name in cluster.oss.policy.rule_names()
+            name: cluster.osses[0].policy.get_rule(name)
+            for name in cluster.osses[0].policy.rule_names()
         }
         # j1 (2 nodes) is entitled to twice j0's share; feedback must order
         # the live rates accordingly.

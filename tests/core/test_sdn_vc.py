@@ -32,8 +32,8 @@ class TestSdnControlPlane:
         # Rules exist for both active jobs, node-weighted: j1 (2 nodes)
         # outranks and out-rates j0 (1 node).
         rules = {
-            name: cluster.oss.policy.get_rule(name)
-            for name in cluster.oss.policy.rule_names()
+            name: cluster.osses[0].policy.get_rule(name)
+            for name in cluster.osses[0].policy.rule_names()
         }
         assert set(rules) == {"sdn_j0", "sdn_j1"}
         assert rules["sdn_j1"].rate > rules["sdn_j0"].rate
@@ -93,7 +93,7 @@ class TestVirtualCircuits:
         assert table.waiting == ["j1"]
         assert table.circuits_admitted == 2
         assert table.circuits_denied == 1
-        budget = 1.2 * cluster.config.max_token_rate
+        budget = 1.2 * cluster.spec.topology.max_token_rate()
         assert sum(table.admitted.values()) <= budget + 1e-9
         cluster.teardown()
 
@@ -175,12 +175,12 @@ class TestChaosReconvergence:
         # The controller kept running and re-converged after recovery:
         # decisions resumed and both jobs hold rules again.
         assert agent.rounds_run > 4
-        assert set(cluster.oss.policy.rule_names()) <= {
+        assert set(cluster.osses[0].policy.rule_names()) <= {
             "sdn_science",
             "sdn_hog",
         }
         cluster.teardown()
-        assert cluster.oss.policy.rule_names() == []
+        assert cluster.osses[0].policy.rule_names() == []
 
     def test_vc_table_stays_balanced_through_crash(self):
         spec = self._crashed_spec("vc")
@@ -191,7 +191,7 @@ class TestChaosReconvergence:
         # is both admitted and waiting, reserved rate fits the overbooked
         # budget, and the admission counters reconcile with the table.
         assert set(table.admitted).isdisjoint(table.waiting)
-        budget = 1.2 * cluster.config.max_token_rate
+        budget = 1.2 * cluster.spec.topology.max_token_rate()
         assert sum(table.admitted.values()) <= budget + 1e-9
         churn = table.circuits_admitted - table.circuits_preempted
         assert churn >= len(table.admitted)

@@ -2,7 +2,38 @@
 
 import pytest
 
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import AXES, main
+
+#: Per CLI axis: names ``list`` must show, one entry to ``describe`` with
+#: fragments its output must contain, and that entry's ``_`` alias.
+AXIS_CASES = {
+    "campaign": {
+        "listed": ("freq-sweep", "burst-grid", "scale-osts"),
+        "describe": "freq-sweep",
+        # The spec hash is the store/resume identity key; describe must
+        # surface it so a sweep can be matched to its durable store.
+        "fragments": ("interval_s", "recompensation", "--param", "hash="),
+        "alias": "freq_sweep",
+    },
+    "mechanism": {
+        "listed": ("none", "static", "adaptbf", "adaptbf-ewma", "pid"),
+        "describe": "pid",
+        "fragments": ("kp", "ki", "mechanism: pid", "--mechanism-param"),
+        "alias": "adaptbf_ewma",
+    },
+    "workload": {
+        "listed": ("seq-write", "seq-read", "poisson", "trace-replay"),
+        "describe": "on-off",
+        "fragments": ("on_mib", "OnOffPattern", "--workload-param"),
+        "alias": "trace_replay",
+    },
+    "fault": {
+        "listed": ("ost-crash", "ost-degrade", "net-delay", "client-churn"),
+        "describe": "ost-crash",
+        "fragments": ("start_s", "disturbance window", "--fault-param"),
+        "alias": "ost_crash",
+    },
+}
 
 
 class TestList:
@@ -11,6 +42,51 @@ class TestList:
         out = capsys.readouterr().out
         for name in ("fig3", "fig9", "overhead", "quickstart", "burst-storm"):
             assert name in out
+
+
+class TestAxisCommands:
+    """The generated ``<axis> list|describe`` commands, one case per axis."""
+
+    def test_cases_cover_every_axis(self):
+        assert set(AXIS_CASES) == {axis.command for axis in AXES}
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.command)
+    def test_list(self, axis, capsys):
+        assert main([axis.command, "list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(axis.heading + "\n")
+        for name in AXIS_CASES[axis.command]["listed"]:
+            assert f"  {name} " in out
+        assert set(axis.registry.names()) <= set(out.split())
+        assert out.endswith(axis.usage + "\n")
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.command)
+    def test_describe(self, axis, capsys):
+        case = AXIS_CASES[axis.command]
+        assert main([axis.command, "describe", case["describe"]]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{case['describe']}: ")
+        for fragment in case["fragments"]:
+            assert fragment in out
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.command)
+    def test_describe_unknown_exits(self, axis):
+        with pytest.raises(SystemExit, match=f"unknown {axis.command} 'nope'"):
+            main([axis.command, "describe", "nope"])
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.command)
+    def test_describe_underscore_alias(self, axis, capsys):
+        alias = AXIS_CASES[axis.command]["alias"]
+        assert main([axis.command, "describe", alias]) == 0
+        assert capsys.readouterr().out.startswith(alias.replace("_", "-") + ": ")
+
+    @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.command)
+    def test_top_level_list_points_at_axis(self, axis, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert f"(see `{axis.command} list`):" in out
+        for name in AXIS_CASES[axis.command]["listed"]:
+            assert f"  {name} " in out
 
 
 class TestDescribe:
@@ -93,6 +169,33 @@ class TestRun:
         written = list(tmp_path.glob("quickstart_*.csv"))
         assert written
 
+    def test_figure_rejects_non_scale_param(self):
+        with pytest.raises(SystemExit, match=r"accept only .*got \['bogus'\]"):
+            main(["run", "fig3", "--param", "bogus=1"])
+
+    def test_figure_param_type_error_exits(self):
+        with pytest.raises(
+            SystemExit, match="parameter 'heavy_procs': expected int, got '2.5'"
+        ):
+            main(["run", "fig5", "--param", "heavy_procs=2.5"])
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig9", "all"])
+    @pytest.mark.parametrize(
+        "param", ["data_scale=nan", "time_scale=inf", "data_scale=0"]
+    )
+    def test_figure_rejects_bad_scale_before_running(
+        self, figure, param, monkeypatch
+    ):
+        import repro.experiments.__main__ as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a figure ran with an invalid scale")
+
+        monkeypatch.setattr(cli, "_run_figure", no_run)
+        key = param.split("=")[0]
+        with pytest.raises(SystemExit, match=f"{key} must be positive and finite"):
+            main(["run", figure, "--param", param])
+
     def test_legacy_invocation_rewritten(self, capsys):
         """`python -m repro.experiments fig3 ...` still parses as `run fig3`."""
         import repro.experiments.__main__ as cli
@@ -114,26 +217,6 @@ class TestRun:
 
 
 class TestCampaign:
-    def test_campaign_list(self, capsys):
-        assert main(["campaign", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("freq-sweep", "burst-grid", "scale-osts"):
-            assert name in out
-
-    def test_campaign_describe(self, capsys):
-        assert main(["campaign", "describe", "freq-sweep"]) == 0
-        out = capsys.readouterr().out
-        assert "interval_s" in out
-        assert "recompensation" in out
-        assert "--param" in out
-        # The spec hash is the store/resume identity key; describe must
-        # surface it so a sweep can be matched to its durable store.
-        assert "hash=" in out
-
-    def test_campaign_describe_unknown_exits(self):
-        with pytest.raises(SystemExit):
-            main(["campaign", "describe", "nope"])
-
     def test_campaign_run_with_artifacts(self, tmp_path, capsys):
         code = main(
             [
@@ -227,33 +310,7 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "not-a-campaign"])
 
-    def test_campaign_underscore_alias(self, capsys):
-        assert main(["campaign", "describe", "freq_sweep"]) == 0
-        assert "freq-sweep" in capsys.readouterr().out
-
-    def test_scenario_list_mentions_campaigns(self, capsys):
-        assert main(["list"]) == 0
-        assert "campaign list" in capsys.readouterr().out
-
-
 class TestMechanismCli:
-    def test_mechanism_list(self, capsys):
-        assert main(["mechanism", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("none", "static", "adaptbf", "adaptbf-ewma", "pid"):
-            assert name in out
-        assert "--mechanism" in out
-
-    def test_mechanism_describe(self, capsys):
-        assert main(["mechanism", "describe", "pid"]) == 0
-        out = capsys.readouterr().out
-        assert "kp" in out and "ki" in out
-        assert "mechanism: pid" in out
-
-    def test_mechanism_describe_unknown_exits(self):
-        with pytest.raises(SystemExit):
-            main(["mechanism", "describe", "nope"])
-
     def test_run_with_new_mechanism_and_params(self, capsys):
         code = main(
             [
@@ -289,10 +346,6 @@ class TestMechanismCli:
                 ]
             )
 
-    def test_scenario_list_mentions_mechanisms(self, capsys):
-        assert main(["list"]) == 0
-        assert "mechanism list" in capsys.readouterr().out
-
     def test_shootout_reports_comparison_table(self, capsys):
         code = main(
             [
@@ -312,23 +365,6 @@ class TestMechanismCli:
 
 
 class TestWorkloadCli:
-    def test_workload_list(self, capsys):
-        assert main(["workload", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("seq-write", "seq-read", "poisson", "trace-replay"):
-            assert name in out
-        assert "--workload" in out
-
-    def test_workload_describe(self, capsys):
-        assert main(["workload", "describe", "on-off"]) == 0
-        out = capsys.readouterr().out
-        assert "on_mib" in out
-        assert "OnOffPattern" in out
-
-    def test_workload_describe_unknown_exits(self):
-        with pytest.raises(SystemExit):
-            main(["workload", "describe", "nope"])
-
     def test_run_with_workload_override(self, capsys):
         code = main(
             [
@@ -384,7 +420,3 @@ class TestWorkloadCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "ingest" in out and "analysis" in out and "checkpoint" in out
-
-    def test_scenario_list_mentions_workloads(self, capsys):
-        assert main(["list"]) == 0
-        assert "workload list" in capsys.readouterr().out

@@ -2,42 +2,50 @@
 
 import pytest
 
-from repro.experiments.common import (
-    MechanismComparison,
-    bench_scale,
-    compare_mechanisms,
-    full_scale,
-)
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
+from repro.experiments.common import MechanismComparison, bench_scale, full_scale
+from repro.scenarios import REGISTRY
+from repro.scenarios.runner import run_mechanisms
 
 
 def test_full_scale_is_paper_configuration():
-    cfg = full_scale()
-    assert cfg.data_scale == 1.0
-    assert cfg.time_scale == 1.0
+    assert full_scale() == {"data_scale": 1.0, "time_scale": 1.0}
 
 
 def test_bench_scale_reduced_by_default(monkeypatch):
     monkeypatch.delenv("REPRO_FULL", raising=False)
-    cfg = bench_scale()
-    assert cfg.data_scale < 1.0
-    assert cfg.time_scale < 1.0
-    assert cfg.data_scale == cfg.time_scale  # uniform scaling
+    scale = bench_scale()
+    assert scale["data_scale"] < 1.0
+    assert scale["time_scale"] < 1.0
+    assert scale["data_scale"] == scale["time_scale"]  # uniform scaling
 
 
 def test_bench_scale_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_FULL", "1")
-    cfg = bench_scale()
-    assert cfg.data_scale == 1.0 and cfg.time_scale == 1.0
+    assert bench_scale() == full_scale()
+
+
+def test_scales_are_registered_scenario_overrides(monkeypatch):
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    for scale in (bench_scale(), full_scale()):
+        for name in ("allocation", "redistribution", "recompensation"):
+            REGISTRY.build(name, **scale)
+    # bench_scale() is exactly the registered factories' defaults.
+    assert REGISTRY.build("allocation", **bench_scale()) == REGISTRY.build(
+        "allocation"
+    )
+
+
+def small_allocation():
+    return REGISTRY.build(
+        "allocation", data_scale=1 / 256, heavy_procs=2
+    ).with_topology(capacity_mib_s=256)
 
 
 class TestMechanismComparison:
     @pytest.fixture(scope="class")
     def cmp(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-        )
-        return compare_mechanisms(scenario, capacity_mib_s=256)
+        spec = small_allocation()
+        return MechanismComparison(spec, run_mechanisms(spec))
 
     def test_all_three_mechanisms_present(self, cmp):
         assert set(cmp.results) == {"none", "static", "adaptbf"}
@@ -64,10 +72,6 @@ class TestMechanismComparison:
             assert job in report
 
     def test_isolated_mechanism_subset(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-        )
-        cmp = compare_mechanisms(
-            scenario, capacity_mib_s=256, mechanisms=("adaptbf",)
-        )
+        spec = small_allocation()
+        cmp = MechanismComparison(spec, run_mechanisms(spec, ("adaptbf",)))
         assert set(cmp.results) == {"adaptbf"}

@@ -9,10 +9,9 @@ what "reproduces the paper" means.
 import pytest
 
 from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9, overhead
-from repro.workloads.scenarios import ScenarioConfig
 
 #: Test scale: slightly smaller than the bench default to keep CI fast.
-TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
+TEST_SCALE = {"data_scale": 1 / 16, "time_scale": 1 / 16}
 
 
 @pytest.fixture(scope="module")

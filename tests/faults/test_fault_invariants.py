@@ -69,8 +69,9 @@ class TestFaultInvariants:
     def test_clients_finish_and_ledger_balances(self, mechanism, seed):
         cluster, result = run_under_schedule(mechanism, seed)
         assert result.clients_finished
-        for controller in cluster.controllers:
-            assert controller.algorithm.records.total() == 0
+        for handle in cluster.handles:
+            if handle.adaptbf is not None:
+                assert handle.adaptbf.algorithm.records.total() == 0
 
     def test_every_round_conserves_the_token_budget(self, mechanism, seed):
         cluster, _ = run_under_schedule(mechanism, seed)

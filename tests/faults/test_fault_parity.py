@@ -9,9 +9,8 @@ import filecmp
 
 from repro.experiments import fig3_fig4, fig9
 from repro.metrics.export import export_all
-from repro.workloads.scenarios import ScenarioConfig
 
-TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
+TEST_SCALE = {"data_scale": 1 / 16, "time_scale": 1 / 16}
 
 
 class TestFigureCsvByteIdentity:

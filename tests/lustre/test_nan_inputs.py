@@ -1,6 +1,8 @@
 """NaN (and, where the value must be finite, infinity) is refused at every
 lustre entry point that takes a rate, a delay, a bandwidth or a size, at
-the throughput timeline, and at the kernel's delay entry points.
+the throughput timeline, at the kernel's delay entry points, and when a
+scenario's topology is specified — at spec construction, not deep inside
+the run it would corrupt.
 
 A NaN rate yields NaN token deadlines, which compare false against
 everything and silently corrupt the TBF deadline heap; a NaN latency or
@@ -19,6 +21,7 @@ from repro.lustre import FifoPolicy, IoHandle, Network, Oss, Ost, Rpc, TbfPolicy
 from repro.lustre.bucket import TokenBucket
 from repro.lustre.tbf import TbfRule, TbfScheduler
 from repro.metrics.timeline import Timeline
+from repro.scenarios import REGISTRY, TopologySpec
 from repro.sim import Environment
 from repro.sim.events import Timeout
 
@@ -101,6 +104,14 @@ ENTRY_POINTS = {
     "Environment.hop": lambda x: Environment().hop(x, print, None),
     "Timeline.bin_s": lambda x: Timeline(bin_s=x),
     "Timeline.record": lambda x: Timeline().record("job1", 0.0, x),
+    "TopologySpec.capacity_mib_s": lambda x: TopologySpec(capacity_mib_s=x),
+    "TopologySpec.ost_capacities_mib_s": lambda x: TopologySpec(
+        n_osts=2, ost_capacities_mib_s=(1.0, x)
+    ),
+    "TopologySpec.net_latency_s": lambda x: TopologySpec(net_latency_s=x),
+    "ScenarioSpec.with_topology": lambda x: REGISTRY.build(
+        "quickstart"
+    ).with_topology(net_latency_s=x),
 }
 
 #: Entry points that also refuse an infinite value.
@@ -118,6 +129,10 @@ FINITE_ONLY = {
     "Environment.hop",
     "Timeline.bin_s",
     "Timeline.record",
+    "TopologySpec.capacity_mib_s",
+    "TopologySpec.ost_capacities_mib_s",
+    "TopologySpec.net_latency_s",
+    "ScenarioSpec.with_topology",
 }
 
 

@@ -4,8 +4,6 @@ import csv
 
 import pytest
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_experiment
 from repro.metrics.export import (
     export_all,
     export_records,
@@ -13,6 +11,7 @@ from repro.metrics.export import (
     export_timeline,
 )
 from repro.metrics.timeline import Timeline
+from repro.scenarios import PolicySpec, ScenarioSpec, TopologySpec, run_scenario
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.spec import JobSpec, ProcessSpec
 
@@ -20,16 +19,21 @@ MIB = 1 << 20
 
 
 def small_result(mechanism="adaptbf"):
-    jobs = [
+    jobs = tuple(
         JobSpec(
             job_id=f"j{i}",
             nodes=i + 1,
             processes=(ProcessSpec(SequentialWritePattern(10 * MIB)),),
         )
         for i in range(2)
-    ]
-    return run_experiment(
-        ClusterConfig(mechanism=mechanism, capacity_mib_s=100), jobs
+    )
+    return run_scenario(
+        ScenarioSpec(
+            name="export",
+            jobs=jobs,
+            topology=TopologySpec(capacity_mib_s=100),
+            policy=PolicySpec(mechanism=mechanism),
+        )
     )
 
 

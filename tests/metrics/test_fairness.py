@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import fig3_fig4
 from repro.metrics.summary import BandwidthSummary, jain_index
-from repro.workloads.scenarios import ScenarioConfig
 
 
 def summary_of(per_job):
@@ -53,7 +52,7 @@ def test_adaptbf_sits_between_fcfs_and_static_on_fairness():
     must land strictly between them on weighted fairness while keeping
     near-FCFS aggregate throughput — that combination is the contribution.
     """
-    cmp = fig3_fig4.run(ScenarioConfig(data_scale=1 / 32, time_scale=1 / 10))
+    cmp = fig3_fig4.run({"data_scale": 1 / 32, "time_scale": 1 / 10})
     weights = {job.job_id: float(job.nodes) for job in cmp.scenario.jobs}
     fair = {
         m: jain_index(cmp.results[m].summary, weights=weights)

@@ -9,17 +9,15 @@ from repro.scenarios import (
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
     run_mechanisms,
     run_scenario,
 )
 from repro.workloads.patterns import SequentialWritePattern
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
 
 MIB = 1 << 20
 
-TINY = ScenarioConfig(data_scale=1 / 256, time_scale=1 / 16, heavy_procs=2)
+TINY = {"data_scale": 1 / 256, "time_scale": 1 / 16, "heavy_procs": 2}
 
 
 def tiny_jobs(n=2, volume=8 * MIB):
@@ -103,7 +101,8 @@ class TestBuild:
         )
         cluster = build(spec)
         assert len(cluster.osts) == 3
-        assert len(cluster.controllers) == 3
+        assert all(handle.adaptbf is not None for handle in cluster.handles)
+        assert len(cluster.handles) == 3
         assert cluster.total_capacity_bps() == 3 * 128.0 * MIB
         assert cluster.spec is spec
 
@@ -116,7 +115,7 @@ class TestBuild:
         cluster = build(spec)
         assert cluster.osts[0].capacity_bps == 100 * MIB
         assert cluster.osts[1].capacity_bps == 400 * MIB
-        rates = [c.controller.max_token_rate for c in cluster.controllers]
+        rates = [h.adaptbf.controller.max_token_rate for h in cluster.handles]
         assert rates == [pytest.approx(100.0), pytest.approx(400.0)]
 
     def test_explicit_env_is_used(self):
@@ -129,17 +128,7 @@ class TestBuild:
         spec = ScenarioSpec(
             name="t", jobs=tiny_jobs(), policy=PolicySpec(mechanism="none")
         )
-        assert build(spec).controllers == []
-
-    def test_legacy_config_view(self):
-        spec = ScenarioSpec(
-            name="t",
-            jobs=tiny_jobs(),
-            topology=TopologySpec(n_osts=2, capacity_mib_s=256.0),
-        )
-        config = build(spec).config
-        assert config.n_osts == 2
-        assert config.capacity_mib_s == 256.0
+        assert [handle.adaptbf for handle in build(spec).handles] == [None]
 
 
 class TestRunScenario:
@@ -183,7 +172,7 @@ class TestRunScenario:
         assert result.ost_utilization == 0.0
 
     def test_run_mechanisms_covers_all(self):
-        spec = from_scenario(scenario_allocation(TINY))
+        spec = REGISTRY.build("allocation", **TINY)
         results = run_mechanisms(spec)
         assert set(results) == {"none", "static", "adaptbf"}
         for mechanism, result in results.items():

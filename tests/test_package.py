@@ -1,6 +1,7 @@
 """Package-level surface tests: public API, version, examples run."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_version_exposed():
@@ -49,16 +51,20 @@ def test_init_docstring_example_runs():
     assert result.summary.aggregate_mib_s > 0
 
 
-def test_legacy_surface_still_works():
-    """The pre-pipeline config+jobs API remains supported."""
-    from repro.cluster import ClusterConfig, run_scenario
-    from repro.workloads import ScenarioConfig, scenario_allocation
+@pytest.mark.parametrize(
+    "path",
+    sorted(EXAMPLES.glob("*.py")) + sorted(BENCHMARKS.glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_example_and_benchmark_modules_import(path, monkeypatch):
+    """Every example and benchmark module imports against the current API.
 
-    scenario = scenario_allocation(
-        ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-    )
-    result = run_scenario(scenario, ClusterConfig(mechanism="adaptbf"))
-    assert result.summary.aggregate_mib_s > 0
+    Modules run under a non-``__main__`` name, so only their imports and
+    module-level definitions execute; a removed or renamed API fails here
+    even for benchmarks no CI step runs.
+    """
+    monkeypatch.syspath_prepend(str(path.parent))
+    runpy.run_path(str(path), run_name="import_check")
 
 
 @pytest.mark.parametrize(

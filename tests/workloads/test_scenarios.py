@@ -1,53 +1,82 @@
-"""Unit tests for the paper-scenario constructors."""
+"""Unit tests for the paper-mix scenario factories (§IV-D/E/F)."""
+
+import math
 
 import pytest
 
-from repro.workloads.scenarios import (
-    GIB,
-    MIB,
-    ScenarioConfig,
-    scenario_allocation,
-    scenario_recompensation,
-    scenario_redistribution,
-)
+from repro.scenarios import REGISTRY
 from repro.workloads.spec import JobSpec, ProcessSpec, validate_jobs
 from repro.workloads.patterns import SequentialWritePattern
 
+GIB = 1 << 30
+MIB = 1 << 20
 
-class TestScenarioConfig:
-    def test_defaults_are_paper_scale(self):
-        cfg = ScenarioConfig()
-        assert cfg.bytes_(GIB) == GIB
-        assert cfg.secs(20.0) == 20.0
+#: The paper's own configuration (the factories default to bench scale).
+PAPER = {"data_scale": 1.0, "time_scale": 1.0}
+
+
+def file_bytes(spec):
+    return spec.jobs[0].processes[0].pattern.total_bytes_hint()
+
+
+class TestScale:
+    def test_defaults_are_bench_scale(self):
+        spec = REGISTRY.build("allocation")
+        assert file_bytes(spec) == int(GIB * 0.1)
+
+    def test_paper_scale(self):
+        spec = REGISTRY.build("recompensation", **PAPER)
+        assert spec.jobs[0].processes[1].pattern.delay_s == 20.0
+        assert file_bytes(REGISTRY.build("allocation", **PAPER)) == GIB
 
     def test_scaling(self):
-        cfg = ScenarioConfig(data_scale=0.5, time_scale=0.1)
-        assert cfg.bytes_(GIB) == GIB // 2
-        assert cfg.secs(20.0) == pytest.approx(2.0)
+        spec = REGISTRY.build("allocation", data_scale=0.5, time_scale=0.1)
+        assert file_bytes(spec) == GIB // 2
+        spec = REGISTRY.build("recompensation", data_scale=0.5, time_scale=0.1)
+        assert spec.jobs[0].processes[1].pattern.delay_s == pytest.approx(2.0)
 
     def test_bytes_floor_at_one_mib(self):
-        cfg = ScenarioConfig(data_scale=1e-9)
-        assert cfg.bytes_(GIB) == MIB
+        spec = REGISTRY.build("allocation", data_scale=1e-9)
+        assert file_bytes(spec) == MIB
 
-    def test_invalid_scales(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(data_scale=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(time_scale=-1)
-        with pytest.raises(ValueError):
-            ScenarioConfig(heavy_procs=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(capacity_hint_mib_s=0)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"data_scale": 0},
+            {"time_scale": -1},
+            {"heavy_procs": 0},
+            {"window": 0},
+            {"capacity_mib_s": 0},
+        ],
+    )
+    def test_invalid_scales(self, params):
+        for name in ("allocation", "redistribution", "recompensation"):
+            with pytest.raises(ValueError):
+                REGISTRY.build(name, **params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("param", ["data_scale", "time_scale", "capacity_mib_s"])
+    @pytest.mark.parametrize(
+        "name",
+        ["allocation", "redistribution", "recompensation", "burst-storm", "elastic-churn"],
+    )
+    def test_non_finite_scales_rejected_at_build(self, name, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be positive and finite"):
+            REGISTRY.build(name, **{param: value})
 
     def test_continuous_sizing_spans_duration(self):
-        cfg = ScenarioConfig(capacity_hint_mib_s=1000)
-        per_proc = cfg.continuous_bytes_per_proc(10.0, procs=10, saturation=1.0)
-        assert per_proc * 10 == pytest.approx(1000 * MIB * 10, rel=0.01)
+        # saturation 1.0: the hog's 16 writers together carry exactly
+        # capacity x duration.
+        spec = REGISTRY.build("recompensation", capacity_mib_s=1000.0, **PAPER)
+        hog = spec.jobs[3]
+        assert hog.total_bytes_hint == pytest.approx(
+            1000 * MIB * spec.run.duration_s, rel=0.01
+        )
 
 
 class TestScenarioAllocation:
     def test_matches_paper_configuration(self):
-        s = scenario_allocation(ScenarioConfig())
+        s = REGISTRY.build("allocation", **PAPER)
         assert [j.job_id for j in s.jobs] == ["job1", "job2", "job3", "job4"]
         assert [j.nodes for j in s.jobs] == [1, 1, 3, 5]  # 10/10/30/50 %
         assert all(len(j.processes) == 16 for j in s.jobs)
@@ -55,22 +84,22 @@ class TestScenarioAllocation:
         for job in s.jobs:
             for proc in job.processes:
                 assert proc.pattern.total_bytes_hint() == GIB
-        assert s.duration_s is None  # run to completion
+        assert s.run.duration_s is None  # run to completion
 
     def test_nodes_mapping(self):
-        s = scenario_allocation()
+        s = REGISTRY.build("allocation")
         assert s.nodes == {"job1": 1, "job2": 1, "job3": 3, "job4": 5}
 
 
 class TestScenarioRedistribution:
     def test_matches_paper_configuration(self):
-        s = scenario_redistribution(ScenarioConfig())
+        s = REGISTRY.build("redistribution", **PAPER)
         assert [j.nodes for j in s.jobs] == [3, 3, 3, 1]  # 30/30/30/10 %
         assert [len(j.processes) for j in s.jobs] == [2, 2, 2, 16]
-        assert s.duration_s == pytest.approx(60.0)
+        assert s.run.duration_s == pytest.approx(60.0)
 
     def test_bursts_interleave(self):
-        s = scenario_redistribution(ScenarioConfig())
+        s = REGISTRY.build("redistribution", **PAPER)
         delays = set()
         for job in s.jobs[:3]:
             for proc in job.processes:
@@ -78,31 +107,30 @@ class TestScenarioRedistribution:
         assert len(delays) == 6  # all six burst streams offset differently
 
     def test_hog_outlives_window(self):
-        cfg = ScenarioConfig(capacity_hint_mib_s=1024)
-        s = scenario_redistribution(cfg)
+        s = REGISTRY.build("redistribution", capacity_mib_s=1024.0, **PAPER)
         hog = s.jobs[3]
         # Hog volume exceeds what the OST can deliver in the window.
-        assert hog.total_bytes_hint > 1024 * MIB * s.duration_s
+        assert hog.total_bytes_hint > 1024 * MIB * s.run.duration_s
 
 
 class TestScenarioRecompensation:
     def test_matches_paper_configuration(self):
-        s = scenario_recompensation(ScenarioConfig())
+        s = REGISTRY.build("recompensation", **PAPER)
         assert [j.nodes for j in s.jobs] == [1, 1, 1, 1]  # equal 25 %
         assert [len(j.processes) for j in s.jobs] == [2, 2, 2, 16]
 
     def test_delays_are_20_50_80(self):
-        s = scenario_recompensation(ScenarioConfig())
+        s = REGISTRY.build("recompensation", **PAPER)
         delays = [job.processes[1].pattern.delay_s for job in s.jobs[:3]]
         assert delays == [20.0, 50.0, 80.0]
 
     def test_job3_has_smallest_burst(self):
-        s = scenario_recompensation(ScenarioConfig())
+        s = REGISTRY.build("recompensation", **PAPER)
         bursts = [job.processes[0].pattern.burst_bytes for job in s.jobs[:3]]
         assert bursts[2] == min(bursts)
 
     def test_time_scale_compresses_delays(self):
-        s = scenario_recompensation(ScenarioConfig(time_scale=0.1))
+        s = REGISTRY.build("recompensation", data_scale=1.0, time_scale=0.1)
         delays = [job.processes[1].pattern.delay_s for job in s.jobs[:3]]
         assert delays == pytest.approx([2.0, 5.0, 8.0])
 
